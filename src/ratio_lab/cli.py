@@ -6,13 +6,15 @@ Exit codes: 0 on success / verification pass, 1 on a verification
 failure (non-integral spec, catalog mismatch), 2 on usage errors.
 JSON output is stable-ordered and round-trips through the emitting
 types.  --jobs affects search sharding only; results are identical for
-any value.
+any value from 1 to the number of CPUs, and other values are usage
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -295,6 +297,10 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "liouville" and (args.N is None) == (args.probe is None):
         parser.error("liouville needs exactly one of --N or --probe")
+    if args.command == "classify":
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.jobs <= cpus:
+            parser.error(f"--jobs must be between 1 and {cpus} (the number of CPUs), got {args.jobs}")
     try:
         return args.fn(args)
     except (ValueError, FileNotFoundError) as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Literal
 
 import numpy as np
@@ -130,20 +130,28 @@ def _require_nonempty(a: SignedList, empty_ok: bool) -> bool:
 
 
 def norm(a: SignedList, *, empty_ok: bool = False) -> Fraction:
-    """N(a) via the exact gcd double sum over ordered pairs."""
+    """N(a) via the exact gcd double sum, accumulated in integers.
+
+    Over L = lcm(|a_i|) each cross term gcd(a_i, a_j)^2 / (a_i a_j) is
+    gcd^2 * (L/a_i) * (L/a_j) / L^2, so
+
+        N = (n L^2 + 2 sum_{i<j} gcd(a_i, a_j)^2 (L/a_i)(L/a_j)) / (12 L^2)
+
+    and only the final quotient is a Fraction.
+    """
     if _require_nonempty(a, empty_ok):
         return Fraction(0)
     els = a.elements
     n = len(els)
-    total = Fraction(0)
+    big = lcm(*els)
+    q = [big // ai for ai in els]
+    cross = 0
     for i in range(n):
-        ai = els[i]
-        total += Fraction(1, 12)  # diagonal term gcd(ai,ai)^2/ai^2
+        ai, qi = els[i], q[i]
         for j in range(i + 1, n):
-            aj = els[j]
-            g = gcd(ai, aj)
-            total += Fraction(g * g, 6 * ai * aj)
-    return total
+            g = gcd(ai, els[j])
+            cross += g * g * qi * q[j]
+    return Fraction(n * big * big + 2 * cross, 12 * big * big)
 
 
 def psi(x: Fraction) -> Fraction:

@@ -13,10 +13,13 @@ length 9 a pairable sum-zero sweep plus a recombination of [1,-2,-3,6]
 with the small-norm length-5 catalogue.
 
 Raw search spaces reach ~10^8 multisets, so the hot loops vectorise a
-float-norm prefilter with numpy (the float value of a true norm-1/4
-list is within 5e-13 of 0.25, while any other list over these supports
-differs by at least ~1.8e-12); survivors are then confirmed in exact
-arithmetic.  Deduplication is up to permutation and global sign flip.
+float-norm prefilter with numpy and drop degenerate and non-primitive
+candidates before building any list; survivors are then confirmed in
+exact arithmetic.  The prefilter is sound as long as each kernel's float
+error stays below FLOAT_TOL, so that a true hit cannot be rejected;
+it does not need to separate 1/4 from every other norm, because false
+positives are re-checked exactly.  Deduplication is up to permutation
+and global sign flip.
 """
 
 from __future__ import annotations
@@ -54,10 +57,14 @@ __all__ = [
 ]
 
 QUARTER = Fraction(1, 4)
-# float prefilter tolerance: exact norms over the supports used here are
-# fractions with denominator at most 12*(max element)^2 < 4e12, so any
-# norm != 1/4 differs from 0.25 by more than 1.8e-12, while the float
-# evaluation is accurate to a few 1e-15
+# float prefilter tolerance.  Soundness rests on the float error of each
+# kernel: a true hit must land within FLOAT_TOL of its target, and the
+# kernels sum at most a few dozen terms of size <= 1, so their error is a
+# few 1e-15.  FLOAT_TOL does not separate 1/4 from every other norm: in
+# divisor_sweep_5 the solved fifth element reaches 864000, so norm
+# denominators reach about 2.2e12 and the guaranteed distance of another
+# norm from 1/4 falls to about 4.5e-13.  Such false positives are
+# rejected by the exact check.
 FLOAT_TOL = 5e-13
 
 
@@ -81,6 +88,22 @@ def _dedup(lists) -> list[SignedList]:
     for a in lists:
         seen.setdefault(canonical_pair_key(a), a)
     return [seen[k] for k in sorted(seen)]
+
+
+def _live_rows(rows: np.ndarray) -> np.ndarray:
+    """Mask of candidate rows that are primitive and hold no (x, -x) pair.
+
+    make_list would cancel such a pair (so the list comes out shorter) and
+    the primitivity check would drop the rest; masking them here saves
+    building those lists.  Columns are compared pairwise, so memory stays
+    linear in the number of rows.
+    """
+    keep = np.gcd.reduce(rows, axis=1) == 1
+    width = rows.shape[1]
+    for i in range(width):
+        for j in range(i + 1, width):
+            keep &= rows[:, i] != -rows[:, j]
+    return keep
 
 
 def _float_cross(x: int, y: int) -> float:
@@ -214,10 +237,16 @@ def _sweep5_shard(args) -> list[tuple[int, ...]]:
                 ecross = (gi * gi / vi + gj * gj / vj + gk * gk / pvk[o:] + gl * gl / pvl[o:]) / ef
                 nrm = base + (cross + tmat[i, j] + ecross) / 6.0
             hits = np.nonzero(np.abs(nrm - 0.25) < FLOAT_TOL)[0]
-            for pos in hits:
-                ev = int(e[pos])
-                if ev != 0:
-                    cands.append((vi, vj, int(pvk_i[o + pos]), int(pvl_i[o + pos]), ev))
+            if not len(hits):
+                continue
+            rows = np.empty((len(hits), 5), dtype=np.int64)
+            rows[:, 0] = vi
+            rows[:, 1] = vj
+            rows[:, 2] = pvk_i[o + hits]
+            rows[:, 3] = pvl_i[o + hits]
+            rows[:, 4] = e[hits]
+            rows = rows[(rows[:, 4] != 0) & _live_rows(rows)]
+            cands.extend(map(tuple, rows.tolist()))
     return cands
 
 
@@ -257,16 +286,16 @@ def sum_zero_divisor_lists(modulus: int, length: int) -> list[SignedList]:
     if length < 2 or length > 7:
         raise ValueError("supported lengths: 2..7")
     vals = _signed_divisors(modulus)
-    pos = {v: idx for idx, v in enumerate(vals)}
-    raw = set()
     if length <= 4:
+        pos = {v: idx for idx, v in enumerate(vals)}
+        raw = set()
         for combo in combinations_with_replacement(range(len(vals)), length - 1):
             last = -sum(vals[i] for i in combo)
             j = pos.get(last)
             if j is not None and j >= combo[-1]:
                 raw.add(tuple(vals[i] for i in combo) + (last,))
     else:
-        raw = _sum_zero_vectorised(vals, pos, length)
+        raw = _sum_zero_vectorised(vals, length)
     out = []
     for tup in sorted(raw):
         a = make_list(tup)
@@ -275,40 +304,45 @@ def sum_zero_divisor_lists(modulus: int, length: int) -> list[SignedList]:
     return _dedup(out)
 
 
-def _sum_zero_vectorised(vals, pos, length) -> set[tuple[int, ...]]:
+def _sum_zero_vectorised(vals, length) -> list[tuple[int, ...]]:
     """Vectorised enumeration for lengths 5..7: the free elements are a
     head (python loop) plus a flattened tail block; the last element is
-    solved from the zero-sum condition and membership-checked."""
+    solved from the zero-sum condition and looked up in the support.
+
+    Each primitive non-degenerate multiset is returned once, as a
+    numerically sorted tuple.
+    """
     n = len(vals)
     maxabs = abs(vals[-1])
+    v = np.array(vals, dtype=np.int64)
     t1, t2, t3, tsums, _, offsets = _triple_arrays(vals, None)
-    # membership lookup over the reachable range of the solved element
+    # support index over the reachable range of the solved element, -1 off it
     span = (length - 1) * maxabs + maxabs
-    member = np.zeros(2 * span + 1, dtype=bool)
-    for v in vals:
-        member[v + span] = True
-    raw = set()
-    if length == 5:
-        heads = [((i,), vals[i], i) for i in range(n)]
-    else:
-        heads = None  # iterate triples below
+    index = np.full(2 * span + 1, -1, dtype=np.int64)
+    index[v + span] = np.arange(n)
+    raw = []
 
     def scan(head_vals: tuple[int, ...], s_head: int, start: int):
         o = offsets[start]
         if o == len(tsums):
             return
-        tail = tsums[o:]
-        v7 = -(s_head + tail)
-        hits = np.nonzero(member[v7 + span])[0]
-        for pos_ in hits:
-            idx = o + int(pos_)
-            tup = head_vals + (vals[int(t1[idx])], vals[int(t2[idx])], vals[int(t3[idx])])
-            solved = int(v7[pos_])
-            raw.add(tuple(sorted(tup + (solved,))))
+        solved = -(s_head + tsums[o:])
+        # the solved element sits at or after the tail's last index, so
+        # each multiset is reached by exactly one (head, tail) split
+        hits = np.nonzero(index[solved + span] >= t3[o:])[0]
+        if not len(hits):
+            return
+        rows = np.empty((len(hits), len(head_vals) + 4), dtype=np.int64)
+        rows[:, : len(head_vals)] = head_vals
+        rows[:, -4] = v[t1[o + hits]]
+        rows[:, -3] = v[t2[o + hits]]
+        rows[:, -2] = v[t3[o + hits]]
+        rows[:, -1] = solved[hits]
+        raw.extend(map(tuple, np.sort(rows[_live_rows(rows)], axis=1).tolist()))
 
     if length == 5:
-        for (head, s_head, start) in heads:
-            scan((vals[head[0]],), s_head, start)
+        for i in range(n):
+            scan((vals[i],), vals[i], i)
     else:
         # suffix extremes of tail sums for cheap infeasibility skips
         suf_min = np.minimum.accumulate(tsums[::-1])[::-1]
@@ -606,7 +640,7 @@ def _small_norm_5(threshold: Fraction) -> list[SignedList]:
     cv = np.array(c_vals, dtype=np.int64)
     cvf = cv.astype(np.float64)
     tol = float(threshold) + FLOAT_TOL
-    cands = []
+    heads, counts, hit_c = [], [], []
     for i in range(n):
         a = halves[i]
         ga = np.gcd(a, cv).astype(np.float64)
@@ -619,10 +653,15 @@ def _small_norm_5(threshold: Fraction) -> list[SignedList]:
             tb = gb * gb / (b * cvf) + g2b * g2b / (-2 * b * cvf)
             base = _float_norm((a, -2 * a, b, -2 * b)) + 1.0 / 12.0
             nrm = base + (ta + tb) / 6.0
-            for p in np.nonzero(nrm <= tol)[0]:
-                cands.append((a, -2 * a, b, -2 * b, int(cv[p])))
+            c = cv[nrm <= tol]
+            heads.append((a, b))
+            counts.append(len(c))
+            hit_c.append(c)
+    ab = np.repeat(np.array(heads, dtype=np.int64), counts, axis=0)
+    a, b = ab[:, 0], ab[:, 1]
+    rows = np.stack((a, -2 * a, b, -2 * b, np.concatenate(hit_c)), axis=1)
     out = []
-    for tup in sorted(set(cands)):
+    for tup in sorted(set(map(tuple, rows[_live_rows(rows)].tolist()))):
         lst = make_list(tup)
         if lst.length == 5 and lst.is_primitive() and norm(lst) <= threshold:
             out.append(lst)

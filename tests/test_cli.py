@@ -126,3 +126,28 @@ def test_fractions_never_decimals(capsys):
     assert code == 0
     assert "." not in out
     assert out.strip() == "1/12"
+
+
+class _PoolCreated(Exception):
+    pass
+
+
+def _refuse_pool(*args, **kwargs):
+    raise _PoolCreated
+
+
+def test_classify_jobs_bounded_by_cpu_count(capsys, monkeypatch):
+    import os
+
+    import ratio_lab.search
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(ratio_lab.search, "Pool", _refuse_pool)
+    for jobs in ("0", "-1", "3", "1000000"):
+        with pytest.raises(SystemExit) as exc:
+            run(["classify", "--length", "5", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"--jobs must be between 1 and 2 (the number of CPUs), got {jobs}" in capsys.readouterr().err
+    # the upper end is allowed: the sweep gets as far as creating its pool
+    with pytest.raises(_PoolCreated):
+        run(["classify", "--length", "5", "--jobs", "2"])

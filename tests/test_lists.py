@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -43,12 +44,20 @@ def test_make_list_preserves_length_parity():
         assert make_list(raw).length % 2 == len(raw) % 2
 
 
+def _norm_per_pair(elements):
+    """Reference: one Fraction per ordered pair, (1/12) sum gcd^2/(a_i a_j)."""
+    return sum((F(gcd(x, y) ** 2, 12 * x * y) for x in elements for y in elements), F(0))
+
+
 def test_norm_reference_values():
-    assert norm(make_list([1, -2])) == F(1, 12)
-    assert norm(make_list([1, -2, 4])) == F(1, 8)
-    assert norm(make_list([4, -6, 9])) == F(43, 216)
-    assert norm(make_list([1, -2, -3, 6])) == F(1, 9)
-    assert norm(make_list([1, -6, -10, -15, 30])) == F(1, 4)
+    for raw, expected in (
+        ([1, -2], F(1, 12)),
+        ([1, -2, 4], F(1, 8)),
+        ([4, -6, 9], F(43, 216)),
+        ([1, -2, -3, 6], F(1, 9)),
+        ([1, -6, -10, -15, 30], F(1, 4)),
+    ):
+        assert norm(make_list(raw)) == _norm_per_pair(raw) == expected
     for a in (1, 7, -13):
         assert norm(make_list([a])) == F(1, 12)
 
@@ -71,6 +80,19 @@ def test_integration_oracle_small_cases():
 @given(nonempty_lists)
 def test_norm_matches_integration(a):
     assert norm(a) == norm_by_integration(a)
+
+
+big_ints = st.integers(min_value=-(10**6), max_value=10**6).filter(lambda a: a != 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(big_ints, min_size=1, max_size=12), st.data())
+def test_norm_matches_per_pair_sum(raw, data):
+    # repeat some drawn values so that equal entries are exercised
+    raw = raw + data.draw(st.lists(st.sampled_from(raw), max_size=4))
+    a = make_list(raw[:12])
+    if a.length:
+        assert norm(a) == _norm_per_pair(a.elements)
 
 
 def test_evaluate_points():

@@ -166,6 +166,36 @@ def test_sum_zero_divisor_lists_small():
     assert keys(lists) == ref
 
 
+def _sum_zero_reference(modulus, length, order):
+    """Brute force with the representative rule of sum_zero_divisor_lists:
+    visit the sum-zero multisets, each written as a tuple sorted by
+    `order`, in sorted tuple order, keep the first list for each
+    canonical key, and return the kept lists sorted by key."""
+    vals = [s * d for d in range(1, modulus + 1) if modulus % d == 0 for s in (1, -1)]
+    raw = {tuple(sorted(c, key=order)) for c in combinations_with_replacement(vals, length) if sum(c) == 0}
+    kept = {}
+    for tup in sorted(raw):
+        a = make_list(tup)
+        if a.length == length and a.is_primitive():
+            kept.setdefault(canonical_pair_key(a), a)
+    return [kept[k].elements for k in sorted(kept)]
+
+
+@pytest.mark.parametrize(
+    "modulus, length, order",
+    [
+        # lengths <= 4 write each multiset in support order (|v|, then sign),
+        # the vectorised lengths 5..7 in numeric order
+        (60, 4, lambda v: (abs(v), v > 0)),
+        (72, 5, None),
+        (30, 7, None),
+    ],
+)
+def test_sum_zero_divisor_lists_representatives(modulus, length, order):
+    ours = [a.elements for a in sum_zero_divisor_lists(modulus, length)]
+    assert ours == _sum_zero_reference(modulus, length, order)
+
+
 def test_divisor_sweep_jobs_invariant():
     from ratio_lab.search import divisor_sweep_5
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ratio_lab.arith import primes_upto
+
 __all__ = [
     "BoundTable",
     "INFINITY",
@@ -39,16 +41,6 @@ __all__ = [
 # Tagged +infinity sentinel for G(n;d) with d >= n.  float('inf') compares
 # correctly against Fraction and is never mistaken for a rational value.
 INFINITY = float("inf")
-
-
-def _primes(count: int) -> list[int]:
-    out = []
-    cand = 2
-    while len(out) < count:
-        if all(cand % p for p in out):
-            out.append(cand)
-        cand += 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -72,7 +64,8 @@ def build_table(n_max: int, r_max: int = 3) -> BoundTable:
         raise ValueError("n_max must be at least 2")
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    primes = _primes(r_max + 1)
+    # the k-th prime is at most k^2 + 1
+    primes = primes_upto((r_max + 1) ** 2 + 1)[: r_max + 1]
 
     gr: list[list[Fraction]] = [
         [Fraction(n * n, 12) for n in range(n_max + 1)]
@@ -138,7 +131,7 @@ def mertens_product_bound(n: int) -> Fraction:
     if n < 2:
         raise ValueError("n must be at least 2")
     m = n.bit_length() - 1
-    primes = _primes(m)
+    primes = primes_upto(m * m + 1)[:m]
     value = Fraction(n, 12)
     for p in primes:
         value *= Fraction(p - 1, p + 1)

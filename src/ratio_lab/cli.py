@@ -5,9 +5,12 @@ as a decimal.  Lists on the command line are comma-separated integers.
 Exit codes: 0 on success / verification pass, 1 on a verification
 failure (non-integral spec, catalog mismatch), 2 on usage errors.
 JSON output is stable-ordered and round-trips through the emitting
-types.  --jobs affects search sharding only; results are identical for
-any value from 1 to the number of CPUs, and other values are usage
-errors.
+types.  classify --jobs N deals the head loop of each divisor-support
+shape sweep (length 5, both pairable length-7 sweeps, length 9) out to
+N worker processes; the length-5 family scan, the length-7 sum-zero
+sweep and the length-9 recombination run in the main process.  Results
+are identical for any N from 1 to the number of CPUs, and other values
+are usage errors.
 """
 
 from __future__ import annotations

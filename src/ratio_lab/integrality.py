@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
+from ratio_lab.arith import primes_upto
 from ratio_lab.lists import SignedList, make_list, norm
 
 __all__ = [
@@ -68,6 +69,16 @@ class RatioSpec:
 
     def is_primitive(self) -> bool:
         return reduce(gcd, self.numerator + self.denominator) == 1
+
+    @classmethod
+    def from_list(cls, a: SignedList) -> "RatioSpec":
+        """The spec of a sum-zero list: its positive entries against its
+        negated negative ones, with the longer side as the denominator."""
+        pos = tuple(e for e in a.elements if e > 0)
+        neg = tuple(-e for e in a.elements if e < 0)
+        if len(pos) > len(neg):
+            pos, neg = neg, pos
+        return cls(numerator=pos, denominator=neg)
 
 
 def to_list(r: RatioSpec) -> SignedList:
@@ -126,23 +137,9 @@ def norm_quarter_check(a: SignedList) -> RatioSpec | None:
         raise ValueError("list must be primitive")
     if norm(a) != Fraction(1, 4):
         return None
-    pos = [e for e in a.elements if e > 0]
-    neg = [-e for e in a.elements if e < 0]
-    if len(pos) > len(neg):
-        pos, neg = neg, pos
-    assert len(neg) == len(pos) + 1
-    return RatioSpec(numerator=tuple(pos), denominator=tuple(neg))
-
-
-def _primes_upto(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(limit**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return [p for p in range(limit + 1) if sieve[p]]
+    spec = RatioSpec.from_list(a)
+    assert spec.D == 1
+    return spec
 
 
 def valuation_oracle(
@@ -161,7 +158,7 @@ def valuation_oracle(
     limit = biggest * n_max
     if p_max is not None:
         limit = min(limit, p_max)
-    primes = _primes_upto(limit)
+    primes = primes_upto(limit)
     for n in range(1, n_max + 1):
         top = biggest * n
         for p in primes:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ratio_lab.arith import primes_upto
 from ratio_lab.bounds import mertens_product_bound
 from ratio_lab.lists import SignedList, make_list
 
@@ -87,16 +88,12 @@ def liouville_norm_formula(N: int) -> Fraction:
     return Fraction(d, 12) * f
 
 
-def _primes_upto(k: int) -> list[int]:
-    return [p for p in range(2, k + 1) if all(p % q for q in range(2, p)) ]
-
-
 def n_sub_k(k: int) -> int:
     """N_k = prod_{p<=k} p^r, r the largest integer with r^pi(k) <= 2^k.
 
     Hence d(N_k) = (r+1)^pi(k), and r^pi(k) <= 2^k < d(N_k).
     """
-    primes = _primes_upto(k)
+    primes = primes_upto(k)
     if not primes:
         raise ValueError("k must be at least 2")
     r = 1

@@ -4,37 +4,40 @@ The classification of integral factorial ratios with D = 1 boils down to
 finding all primitive sum-zero lists of odd length 5, 7, 9 with norm
 exactly 1/4.  Infinite families aside, there are 52 sporadic lists:
 29 of length 5, 21 of length 7 and 2 of length 9.  The searches here
-reproduce them: a two-parameter family scan for length 5 plus a sweep
-over quadruples of divisors of 2^6*3^3*5^3 with a forced fifth element;
-two shape-pattern sweeps for length 7 (pairable lists with elements
-dividing 2^6*3^2*5^2*7^2, and the (c,-3c) variant) plus a sum-zero
-sweep over divisors of 2^10*3^5 for the non-pairable case; and for
-length 9 a pairable sum-zero sweep plus a recombination of [1,-2,-3,6]
-with the small-norm length-5 catalogue.
+reproduce them: a family scan plus a sweep over quadruples of divisors
+of 2^6*3^3*5^3 with a forced fifth element for length 5; for length 7
+two pairable shape sweeps and a sum-zero sweep over divisors of
+2^10*3^5 for the non-pairable case; for length 9 a pairable sweep plus
+a recombination of [1,-2,-3,6] with the small-norm length-5 catalogue.
 
-Raw search spaces reach ~10^8 multisets, so the hot loops vectorise a
-float-norm prefilter with numpy and drop degenerate and non-primitive
-candidates before building any list; survivors are then confirmed in
-exact arithmetic.  The prefilter is sound as long as each kernel's float
-error stays below FLOAT_TOL, so that a true hit cannot be rejected;
-it does not need to separate 1/4 from every other norm, because false
-positives are re-checked exactly.  Deduplication is up to permutation
-and global sign flip.
+Every sweep but the sum-zero enumeration is data (`_Sweep`) run by one
+engine: parameter groups (a support, how many parameters are drawn from
+it, the multiples m*v a parameter v contributes), an optional last
+element solved from the zero sum, a float test (== target or <= bound)
+and an exact `keep` predicate.  `_scan` loops in Python over the leading
+parameters and evaluates the float norm of the trailing ones in numpy
+blocks from per-group-pair cross-term tables; `--jobs` shards that loop.
+`_live_rows` drops degenerate and non-primitive rows, `_confirm` decides
+the rest exactly, and `_dedup` identifies lists up to permutation and
+global sign flip.  The float test only prunes: every sweep checks that
+the error bound of `_prefilter_error` is below FLOAT_TOL.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import gcd
+from itertools import chain, combinations, combinations_with_replacement, islice, product
+from math import comb, gcd, prod
 from multiprocessing import Pool
 
 import numpy as np
 
-from ratio_lab.integrality import family_membership, norm_quarter_check, is_integral
+from ratio_lab.arith import divisors
+from ratio_lab.integrality import RatioSpec, family_membership, is_integral, norm_quarter_check
 from ratio_lab.lists import SignedList, classify_type, concat, make_list, norm, norm_by_integration, scale
 from ratio_lab.separation import PRESET_MODULI
 
@@ -57,25 +60,24 @@ __all__ = [
 ]
 
 QUARTER = Fraction(1, 4)
-# float prefilter tolerance.  Soundness rests on the float error of each
-# kernel: a true hit must land within FLOAT_TOL of its target, and the
-# kernels sum at most a few dozen terms of size <= 1, so their error is a
-# few 1e-15.  FLOAT_TOL does not separate 1/4 from every other norm: in
-# divisor_sweep_5 the solved fifth element reaches 864000, so norm
-# denominators reach about 2.2e12 and the guaranteed distance of another
-# norm from 1/4 falls to about 4.5e-13.  Such false positives are
-# rejected by the exact check.
+QUARTER_TEST = ("eq", 0.25)
+# float prefilter tolerance; _sweep proves on every sweep that it exceeds
+# the float error (_prefilter_error)
 FLOAT_TOL = 5e-13
+# the flattened tail of a sweep holds at most TAIL_ROWS index combinations
+# and is evaluated CHUNK rows per numpy call, which bounds the temporaries
+TAIL_ROWS = 1 << 17
+CHUNK = 1 << 13
 
 
-def _signed_divisors(m: int) -> list[int]:
-    divs = set()
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            divs.update((d, m // d))
-        d += 1
-    return sorted([d for d in divs] + [-d for d in divs], key=lambda v: (abs(v), v > 0))
+def _signed_divisors(m: int) -> tuple[int, ...]:
+    """Divisors of m of both signs, by ascending |v|, negative first."""
+    return tuple(v for d in divisors(m) for v in (-d, d))
+
+
+def _box(bound: int) -> tuple[int, ...]:
+    """The nonzero integers in [-bound, bound], in the same order."""
+    return tuple(v for d in range(1, bound + 1) for v in (-d, d))
 
 
 def canonical_pair_key(a: SignedList) -> tuple[int, ...]:
@@ -91,90 +93,194 @@ def _dedup(lists) -> list[SignedList]:
 
 
 def _live_rows(rows: np.ndarray) -> np.ndarray:
-    """Mask of candidate rows that are primitive and hold no (x, -x) pair.
-
-    make_list would cancel such a pair (so the list comes out shorter) and
-    the primitivity check would drop the rest; masking them here saves
-    building those lists.  Columns are compared pairwise, so memory stays
-    linear in the number of rows.
-    """
-    keep = np.gcd.reduce(rows, axis=1) == 1
-    width = rows.shape[1]
-    for i in range(width):
-        for j in range(i + 1, width):
-            keep &= rows[:, i] != -rows[:, j]
+    """Mask of candidate rows that are primitive and hold no zero and no
+    (x, -x) pair, which make_list would reject or cancel; columns are
+    compared pairwise, so memory stays linear in the number of rows."""
+    keep = (np.gcd.reduce(rows, axis=1) == 1) & np.all(rows != 0, axis=1)
+    for i, j in combinations(range(rows.shape[1]), 2):
+        keep &= rows[:, i] != -rows[:, j]
     return keep
 
 
-def _float_cross(x: int, y: int) -> float:
-    g = gcd(x, y)
-    return g * g / (x * y)
+# ---------------------------------------------------------------------------
+# the sweep engine
 
 
-def _float_norm(elements) -> float:
-    total = len(elements) / 12.0
-    for i, x in enumerate(elements):
-        for y in elements[i + 1 :]:
-            total += _float_cross(x, y) / 6.0
-    return total
+@dataclass(frozen=True)
+class _Group:
+    """`count` parameters drawn from `values` as a non-decreasing index
+    tuple; a parameter v contributes the elements m*v, m in `mults`."""
+
+    values: tuple[int, ...]
+    count: int
+    mults: tuple[int, ...] = (1,)
 
 
-def _tmatrix(vals: list[int]) -> np.ndarray:
-    """T[x, y] = gcd(x,y)^2/(x*y) as float64 (the off-diagonal norm term)."""
-    v = np.array(vals, dtype=np.int64)
-    g = np.gcd(v[:, None], v[None, :]).astype(np.float64)
-    vf = v.astype(np.float64)
-    return g * g / (vf[:, None] * vf[None, :])
+@dataclass(frozen=True)
+class _Sweep:
+    """A sweep as data.  A row holds its parameters' elements in group
+    order, then, if `solved` is set, minus their sum, which must be
+    nonzero (True) or one of the values in `solved`.  `test` is the float
+    prefilter: ("eq", target), ("le", bound) or None."""
+
+    groups: tuple[_Group, ...]
+    test: tuple[str, float] | None = None
+    solved: bool | tuple[int, ...] = False
+
+    @property
+    def length(self) -> int:
+        return sum(g.count * len(g.mults) for g in self.groups) + (self.solved is not False)
 
 
-def _pair_arrays(vals: list[int]):
-    """Flattened (k, l) combinations with k <= l, grouped by k."""
-    n = len(vals)
-    ks, ls, sums = [], [], []
-    offsets = [0] * (n + 1)
-    for k in range(n):
-        offsets[k] = len(ks)
-        for l in range(k, n):
-            ks.append(k)
-            ls.append(l)
-            sums.append(vals[k] + vals[l])
-    offsets[n] = len(ks)
-    return (
-        np.array(ks, dtype=np.int32),
-        np.array(ls, dtype=np.int32),
-        np.array(sums, dtype=np.int64),
-        offsets,
-    )
+def _prefilter_error(length: int) -> float:
+    """Bound on |float norm - exact norm| for a row of `length` elements.
 
+    _scan computes the norm as (length/2 + S)/6, where S sums the
+    n = length(length-1)/2 cross terms gcd(x,y)^2/(xy).  Each term has
+    magnitude <= 1 (gcd^2 <= |xy|) and takes 3 roundings (g*g, then x*y
+    and a quotient or two quotients) from inputs exact in float64.
+    Adding the K = n + 1 summands in any order and dividing by 6 gives,
+    with u = 2^-53 and gamma_j = j*u/(1 - j*u),
 
-def _triple_arrays(vals: list[int], tmat: np.ndarray | None):
-    """Flattened (i, j, k) combinations with i <= j <= k, grouped by i.
+        |error| <= gamma_(K+3) (length/2 + n)/6 = gamma_(K+3) length^2/12,
 
-    Returns index arrays, element sums, the internal float cross-term sum,
-    and per-first-index offsets, plus suffix min/max of the sums for
-    feasibility pruning.
+    about 3.0e-14 at length 9.
     """
-    n = len(vals)
-    i1, i2, i3, sums = [], [], [], []
-    offsets = [0] * (n + 1)
-    for a in range(n):
-        offsets[a] = len(i1)
-        for b in range(a, n):
-            vab = vals[a] + vals[b]
-            for c in range(b, n):
-                i1.append(a)
-                i2.append(b)
-                i3.append(c)
-                sums.append(vab + vals[c])
-    offsets[n] = len(i1)
-    i1 = np.array(i1, dtype=np.int32)
-    i2 = np.array(i2, dtype=np.int32)
-    i3 = np.array(i3, dtype=np.int32)
-    sums = np.array(sums, dtype=np.int64)
-    internal = None
-    if tmat is not None:
-        internal = tmat[i1, i2] + tmat[i1, i3] + tmat[i2, i3]
-    return i1, i2, i3, sums, internal, offsets
+    j = length * (length - 1) // 2 + 4
+    return j * 2.0**-53 / (1 - j * 2.0**-53) * length**2 / 12
+
+
+def _combos(n: int, k: int) -> np.ndarray:
+    """The non-decreasing k-tuples of indices below n, in lexical order."""
+    flat = chain.from_iterable(combinations_with_replacement(range(n), k))
+    return np.fromiter(flat, dtype=np.intp, count=comb(n + k - 1, k) * k).reshape(-1, k)
+
+
+def _cross(x: _Group, y: _Group) -> np.ndarray:
+    """T[i, j]: the cross terms between parameters x.values[i], y.values[j]."""
+    xv, yv = np.array(x.values)[:, None], np.array(y.values)[None, :]
+    out = np.zeros((len(x.values), len(y.values)))
+    for m, mm in product(x.mults, y.mults):
+        g = np.gcd(m * xv, mm * yv).astype(np.float64)
+        out += g * g / ((m * xv).astype(np.float64) * (mm * yv))
+    return out
+
+
+def _member_table(values) -> tuple[int, np.ndarray]:
+    """(m, table) with table[x % m] == x exactly for x in `values`; an
+    empty slot r holds r + 1, which is not congruent to r."""
+    m = max(2, 2 * len(values))
+    while len({v % m for v in values}) < len(values):
+        m += 1
+    table = np.arange(1, m + 1)
+    table[np.array(values) % m] = values
+    return m, table
+
+
+def _n_combos(groups, params) -> int:
+    """The number of index combinations of the given parameters (by group)."""
+    return prod(comb(len(groups[gi].values) + k - 1, k) for gi, k in Counter(params).items())
+
+
+def _scan(args) -> list[tuple[int, ...]]:
+    """Float-prefilter one share of a sweep, every `parts`-th head from
+    `part` on, and return the surviving live rows as element tuples."""
+    sweep, part, parts = args
+    groups, solved = sweep.groups, sweep.solved
+    owner = [gi for gi, g in enumerate(groups) for _ in range(g.count)]  # group of each parameter
+    # the Python loop takes the fewest leading parameters that leave at most
+    # TAIL_ROWS tail rows, unless that makes more heads; then the most that do not
+    cut = min(c for c in range(len(owner) + 1) if _n_combos(groups, owner[c:]) <= TAIL_ROWS)
+    if _n_combos(groups, owner[:cut]) > TAIL_ROWS:
+        cut = max(c for c in range(len(owner) + 1) if _n_combos(groups, owner[:c]) <= TAIL_ROWS)
+    head, tail = owner[:cut], owner[cut:]
+    # the tail's index columns: the product of its groups' combinations,
+    # first group major, so the rows are sorted by their first index
+    tail_idx, rows = [], 1
+    for gi, k in Counter(tail).items():
+        c = _combos(len(groups[gi].values), k)
+        new = c if rows == 1 else np.tile(c, (rows, 1))
+        tail_idx = [np.repeat(i, len(c)) for i in tail_idx] + list(new.T)
+        rows *= len(c)
+    vals = [np.array(g.values) for g in groups]
+    tables = {pair: _cross(groups[pair[0]], groups[pair[1]]) for pair in set(combinations(owner, 2))}
+    tail_sum = np.zeros(rows, dtype=np.int64)
+    for gi, i in zip(tail, tail_idx):
+        tail_sum += sum(groups[gi].mults) * vals[gi][i]
+    tail_inner = np.zeros(rows)
+    for q, r in combinations(range(len(tail)), 2):
+        tail_inner += tables[tail[q], tail[r]][tail_idx[q], tail_idx[r]]
+    const = sweep.length / 2
+    const += sum(gcd(m, mm) ** 2 / (m * mm) for gi in owner for m, mm in combinations(groups[gi].mults, 2))
+    member = _member_table(solved) if isinstance(solved, tuple) else None
+    op, target = sweep.test or ("le", np.inf)
+    segments = [combinations_with_replacement(range(len(vals[g])), k) for g, k in Counter(head).items()]
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for h in islice(product(*segments), part, None, parts):
+            hi = sum(h, ())
+            hv = [groups[gi].values[i] for gi, i in zip(head, hi)]
+            hsum = sum(sum(groups[gi].mults) * v for gi, v in zip(head, hv))
+            base = const + sum(tables[head[p], head[r]][hi[p], hi[r]] for p, r in combinations(range(cut), 2))
+            against = [(tables[gp, gq][i], q) for gp, i in zip(head, hi) for q, gq in enumerate(tail)]
+            start = int(np.searchsorted(tail_idx[0], hi[-1])) if head and tail and head[-1] == tail[0] else 0
+            for lo in range(start, rows, CHUNK):
+                ci = [i[lo : lo + CHUNK] for i in tail_idx]
+                total = base + tail_inner[lo : lo + CHUNK]
+                if solved is not False:
+                    e = -(hsum + tail_sum[lo : lo + CHUNK])
+                    if member is not None:
+                        sel = np.nonzero(member[1][e % member[0]] == e)[0]
+                        if not len(sel):
+                            continue
+                        ci, total, e = [i[sel] for i in ci], total[sel], e[sel]
+                for row, q in against:
+                    total += row[ci[q]]
+                tv = [vals[gi][i] for gi, i in zip(tail, ci)]
+                cols = [m * v for gi, v in zip(head, hv) for m in groups[gi].mults]
+                cols += [v if m == 1 else m * v for gi, v in zip(tail, tv) for m in groups[gi].mults]
+                if solved is not False:
+                    against_e = 0.0
+                    for x in cols:
+                        g = np.gcd(x, e).astype(np.float64)
+                        against_e = against_e + g * g / x
+                    total += against_e / e
+                    cols.append(e)
+                nrm = total / 6
+                hit = np.abs(nrm - target) < FLOAT_TOL if op == "eq" else nrm <= target + FLOAT_TOL
+                if hit.any():
+                    found = np.column_stack([np.broadcast_to(x, hit.shape)[hit] for x in cols])
+                    out.extend(map(tuple, found[_live_rows(found)].tolist()))
+    return out
+
+
+def _sweep(sweep: _Sweep, keep, jobs: int = 1) -> list[SignedList]:
+    """Float-prefilter every row of a sweep, sharding the head loop over
+    `jobs` processes, and confirm the survivors exactly.  First prove the
+    float test sound: elements exact in float64 (the solved one is at most
+    `length` times the largest), and the error bound plus the roundings of
+    the target t and of t + FLOAT_TOL, 2u(1 + |t|), below FLOAT_TOL."""
+    length = sweep.length
+    biggest = max((abs(m * v) for g in sweep.groups for m in g.mults for v in g.values), default=0)
+    bound = _prefilter_error(length) + 2.0**-52 * (1 + abs(sweep.test[1] if sweep.test else 0))
+    if length * biggest >= 2**53 or not bound < FLOAT_TOL:
+        raise ArithmeticError(f"float prefilter bound {bound:.2e} is not below FLOAT_TOL {FLOAT_TOL:.2e}")
+    if jobs <= 1:
+        rows = _scan((sweep, 0, 1))
+    else:
+        with Pool(jobs) as pool:
+            rows = [r for share in pool.map(_scan, [(sweep, s, jobs) for s in range(jobs)]) for r in share]
+    return _confirm(rows, keep)
+
+
+def _confirm(rows, keep) -> list[SignedList]:
+    """The exact step: build each distinct candidate once, in sorted order,
+    and keep the lists passing `keep` (engine rows have passed _live_rows)."""
+    return [a for a in map(make_list, sorted(set(rows))) if keep(a)]
+
+
+def _is_quarter(a: SignedList) -> bool:
+    return norm(a) == QUARTER
 
 
 # ---------------------------------------------------------------------------
@@ -187,67 +293,8 @@ def family_search_5(a_bound: int = 108, b_bound: int = 72) -> list[SignedList]:
     The derived bound |ab| <= 36, |bc| <= 36 or |ac| <= 72 confines any
     norm-1/4 member of this family to |a| <= 108, |b| <= 72.
     """
-    out = []
-    for a in range(-a_bound, a_bound + 1):
-        if a == 0:
-            continue
-        for b in range(-b_bound, b_bound + 1):
-            if b == 0 or gcd(a, b) != 1:
-                continue
-            c = a + 2 * b
-            if c == 0:
-                continue
-            lst = make_list([a, -2 * a, b, -3 * b, c])
-            if lst.length != 5 or lst.total != 0 or not lst.is_primitive():
-                continue
-            if norm(lst) == QUARTER and family_membership(lst) == "sporadic":
-                out.append(lst)
-    return _dedup(out)
-
-
-def _sweep5_shard(args) -> list[tuple[int, ...]]:
-    """One shard of the quadruple sweep: first-index range [lo, hi)."""
-    modulus, lo, hi = args
-    vals = _signed_divisors(modulus)
-    n = len(vals)
-    v = np.array(vals, dtype=np.int64)
-    tmat = _tmatrix(vals)
-    pk, pl, psum, offsets = _pair_arrays(vals)
-    pT = tmat[pk, pl]
-    pvk = v[pk].astype(np.float64)
-    pvl = v[pl].astype(np.float64)
-    pvk_i = v[pk]
-    pvl_i = v[pl]
-    base = 5.0 / 12.0
-    cands = []
-    for i in range(lo, hi):
-        vi = vals[i]
-        Ti = tmat[i]
-        for j in range(i, n):
-            vj = vals[j]
-            o = offsets[j]
-            e = -((vi + vj) + psum[o:])
-            ef = e.astype(np.float64)
-            cross = Ti[pk[o:]] + Ti[pl[o:]] + tmat[j][pk[o:]] + tmat[j][pl[o:]] + pT[o:]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gi = np.gcd(vi, e).astype(np.float64)
-                gj = np.gcd(vj, e).astype(np.float64)
-                gk = np.gcd(pvk_i[o:], e).astype(np.float64)
-                gl = np.gcd(pvl_i[o:], e).astype(np.float64)
-                ecross = (gi * gi / vi + gj * gj / vj + gk * gk / pvk[o:] + gl * gl / pvl[o:]) / ef
-                nrm = base + (cross + tmat[i, j] + ecross) / 6.0
-            hits = np.nonzero(np.abs(nrm - 0.25) < FLOAT_TOL)[0]
-            if not len(hits):
-                continue
-            rows = np.empty((len(hits), 5), dtype=np.int64)
-            rows[:, 0] = vi
-            rows[:, 1] = vj
-            rows[:, 2] = pvk_i[o + hits]
-            rows[:, 3] = pvl_i[o + hits]
-            rows[:, 4] = e[hits]
-            rows = rows[(rows[:, 4] != 0) & _live_rows(rows)]
-            cands.extend(map(tuple, rows.tolist()))
-    return cands
+    sweep = _Sweep((_Group(_box(a_bound), 1, (1, -2)), _Group(_box(b_bound), 1, (1, -3))), QUARTER_TEST, True)
+    return _dedup(_sweep(sweep, lambda a: _is_quarter(a) and family_membership(a) == "sporadic"))
 
 
 def divisor_sweep_5(modulus: int | None = None, jobs: int = 1) -> list[SignedList]:
@@ -259,20 +306,8 @@ def divisor_sweep_5(modulus: int | None = None, jobs: int = 1) -> list[SignedLis
     """
     if modulus is None:
         modulus = PRESET_MODULI["length5_sum0_four_elements"]
-    n = len(_signed_divisors(modulus))
-    if jobs <= 1:
-        cands = _sweep5_shard((modulus, 0, n))
-    else:
-        bounds = [round(i * n / jobs) for i in range(jobs + 1)]
-        shards = [(modulus, bounds[t], bounds[t + 1]) for t in range(jobs)]
-        with Pool(jobs) as pool:
-            cands = [c for part in pool.map(_sweep5_shard, shards) for c in part]
-    out = []
-    for tup in sorted(set(cands)):
-        a = make_list(tup)
-        if a.length == 5 and a.total == 0 and a.is_primitive() and norm(a) == QUARTER:
-            out.append(a)
-    return _dedup(out)
+    sweep = _Sweep((_Group(_signed_divisors(modulus), 4),), QUARTER_TEST, True)
+    return _dedup(_sweep(sweep, _is_quarter, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +331,7 @@ def sum_zero_divisor_lists(modulus: int, length: int) -> list[SignedList]:
                 raw.add(tuple(vals[i] for i in combo) + (last,))
     else:
         raw = _sum_zero_vectorised(vals, length)
-    out = []
-    for tup in sorted(raw):
-        a = make_list(tup)
-        if a.length == length and a.total == 0 and a.is_primitive():
-            out.append(a)
-    return _dedup(out)
+    return _dedup(_confirm(raw, lambda a: a.length == length and a.is_primitive()))
 
 
 def _sum_zero_vectorised(vals, length) -> list[tuple[int, ...]]:
@@ -315,7 +345,10 @@ def _sum_zero_vectorised(vals, length) -> list[tuple[int, ...]]:
     n = len(vals)
     maxabs = abs(vals[-1])
     v = np.array(vals, dtype=np.int64)
-    t1, t2, t3, tsums, _, offsets = _triple_arrays(vals, None)
+    tails = _combos(n, 3)
+    t1, t3 = tails[:, 0], tails[:, 2]
+    tsums = v[tails].sum(axis=1)
+    offsets = np.searchsorted(t1, np.arange(n + 1))
     # support index over the reachable range of the solved element, -1 off it
     span = (length - 1) * maxabs + maxabs
     index = np.full(2 * span + 1, -1, dtype=np.int64)
@@ -334,9 +367,7 @@ def _sum_zero_vectorised(vals, length) -> list[tuple[int, ...]]:
             return
         rows = np.empty((len(hits), len(head_vals) + 4), dtype=np.int64)
         rows[:, : len(head_vals)] = head_vals
-        rows[:, -4] = v[t1[o + hits]]
-        rows[:, -3] = v[t2[o + hits]]
-        rows[:, -2] = v[t3[o + hits]]
+        rows[:, -4:-1] = v[tails[o + hits]]
         rows[:, -1] = solved[hits]
         raw.extend(map(tuple, np.sort(rows[_live_rows(rows)], axis=1).tolist()))
 
@@ -348,7 +379,7 @@ def _sum_zero_vectorised(vals, length) -> list[tuple[int, ...]]:
         suf_min = np.minimum.accumulate(tsums[::-1])[::-1]
         suf_max = np.maximum.accumulate(tsums[::-1])[::-1]
         for idx in range(len(tsums)):
-            a, b, c = int(t1[idx]), int(t2[idx]), int(t3[idx])
+            a, b, c = map(int, tails[idx])
             s_head = int(tsums[idx])
             o = offsets[c]
             if o >= len(tsums):
@@ -363,108 +394,39 @@ def _sum_zero_vectorised(vals, length) -> list[tuple[int, ...]]:
 # length 7
 
 
-def _verify_quarter(candidates) -> list[SignedList]:
-    out = []
-    for tup in sorted(set(candidates)):
-        a = make_list(tup)
-        if a.length == len(tup) and a.total == 0 and a.is_primitive() and norm(a) == QUARTER:
-            out.append(a)
-    return _dedup(out)
-
-
-def _type_a_sweep_7() -> list[SignedList]:
+def _type_a_sweep_7(jobs: int = 1) -> list[SignedList]:
     """Pairable [a,-2a,b,-2b,c,-2c,d=a+b+c] with elements dividing
     2^6*3^2*5^2*7^2 (the at-most-7-separated sum-zero support)."""
     M = PRESET_MODULI["type_a_sum0_length7"]
-    halves = _signed_divisors(M // 2)
-    dset = set(_signed_divisors(M))
-    n = len(halves)
-    cands = []
-    hv = np.array(halves, dtype=np.int64)
-    span = 3 * max(abs(v) for v in halves)
-    member = np.zeros(2 * span + 1, dtype=bool)
-    for v in dset:
-        if abs(v) <= span:
-            member[v + span] = True
-    for i in range(n):
-        for j in range(i, n):
-            s2 = halves[i] + halves[j]
-            cvec = hv[j:]
-            d = s2 + cvec
-            hits = np.nonzero(member[d + span])[0]
-            for p in hits:
-                c = int(cvec[p])
-                dval = s2 + c
-                if dval == 0:
-                    continue
-                a, b = halves[i], halves[j]
-                tup = (a, -2 * a, b, -2 * b, c, -2 * c, dval)
-                if abs(_float_norm(tup) - 0.25) < FLOAT_TOL:
-                    cands.append(tup)
-    return _verify_quarter(cands)
+    sweep = _Sweep((_Group(_signed_divisors(M // 2), 3, (1, -2)),), QUARTER_TEST, _signed_divisors(M))
+    return _dedup(_sweep(sweep, _is_quarter, jobs))
 
 
-def _type_a3_sweep_7() -> list[SignedList]:
+def _type_a3_sweep_7(jobs: int = 1) -> list[SignedList]:
     """[a,-2a,b,-2b,c,-3c,d=a+b+2c] with elements dividing 2^12*3^6*5^6
     (the plain at-most-5-separated support; sound but not sharp)."""
     M = 2**12 * 3**6 * 5**6
-    ab_vals = _signed_divisors(M // 2)
-    c_vals = _signed_divisors(M // 3)
-    n = len(ab_vals)
-    cv = np.array(c_vals, dtype=np.int64)
-    cands = []
-    for i in range(n):
-        for j in range(i, n):
-            s2 = ab_vals[i] + ab_vals[j]
-            d = s2 + 2 * cv
-            ad = np.abs(d)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ok = (d != 0) & (ad <= M) & (M % np.where(ad == 0, 1, ad) == 0)
-            for p in np.nonzero(ok)[0]:
-                a, b, c = ab_vals[i], ab_vals[j], int(cv[p])
-                tup = (a, -2 * a, b, -2 * b, c, -3 * c, int(d[p]))
-                if abs(_float_norm(tup) - 0.25) < FLOAT_TOL:
-                    cands.append(tup)
-    return _verify_quarter(cands)
+    groups = (_Group(_signed_divisors(M // 2), 2, (1, -2)), _Group(_signed_divisors(M // 3), 1, (1, -3)))
+    return _dedup(_sweep(_Sweep(groups, QUARTER_TEST, _signed_divisors(M)), _is_quarter, jobs))
 
 
 def _type_b_sweep_7() -> list[SignedList]:
     """Sum-zero sweep over divisors of 2^10*3^5 (the at-most-4-separated
     support for non-pairable lists), keeping norm-1/4 results."""
     M = PRESET_MODULI["type_b_length7_at_most_4_separated"]
-    lists = sum_zero_divisor_lists(M, 7)
-    return [a for a in lists if norm(a) == QUARTER]
+    return list(filter(_is_quarter, sum_zero_divisor_lists(M, 7)))
 
 
 # ---------------------------------------------------------------------------
 # length 9
 
 
-def _type_a_sweep_9() -> list[SignedList]:
+def _type_a_sweep_9(jobs: int = 1) -> list[SignedList]:
     """Pairable [a,-2a,...,d,-2d,e=a+b+c+d] with elements dividing
     2^16*3^8 (the plain at-most-4-separated support for length 9)."""
     M = 2**16 * 3**8
-    halves = _signed_divisors(M // 2)
-    n = len(halves)
-    pk, pl, psum, offsets = _pair_arrays(halves)
-    pkv = np.array([halves[int(k)] for k in pk], dtype=np.int64)
-    plv = np.array([halves[int(l)] for l in pl], dtype=np.int64)
-    cands = []
-    for i in range(n):
-        for j in range(i, n):
-            s2 = halves[i] + halves[j]
-            o = offsets[j]
-            e = s2 + psum[o:]
-            ae = np.abs(e)
-            ok = (e != 0) & (ae <= M) & (M % np.where(ae == 0, 1, ae) == 0)
-            for p in np.nonzero(ok)[0]:
-                a, b = halves[i], halves[j]
-                c, d = int(pkv[o + p]), int(plv[o + p])
-                ev = int(e[p])
-                tup = (a, -2 * a, b, -2 * b, c, -2 * c, d, -2 * d, ev)
-                if abs(_float_norm(tup) - 0.25) < FLOAT_TOL:
-                    cands.append(tup)
-    return _verify_quarter(cands)
+    sweep = _Sweep((_Group(_signed_divisors(M // 2), 4, (1, -2)),), QUARTER_TEST, _signed_divisors(M))
+    return _dedup(_sweep(sweep, _is_quarter, jobs))
 
 
 def _combine_sweep_9() -> list[SignedList]:
@@ -551,7 +513,7 @@ def classify_length(n: int, jobs: int = 1) -> Catalog:
             "sweep over divisors of 2^6*3^3*5^3 with forced fifth element"
         )
     elif n == 7:
-        found = _type_a_sweep_7() + _type_a3_sweep_7() + _type_b_sweep_7()
+        found = _type_a_sweep_7(jobs) + _type_a3_sweep_7(jobs) + _type_b_sweep_7()
         note = (
             "pairable sweep over divisors of 2^6*3^2*5^2*7^2, the (c,-3c) "
             "variant over divisors of 2^12*3^6*5^6, and a sum-zero sweep "
@@ -559,7 +521,7 @@ def classify_length(n: int, jobs: int = 1) -> Catalog:
             "The entry [-1,2,3,-4,-6,-6,12] genuinely repeats -6."
         )
     elif n == 9:
-        found = _type_a_sweep_9() + _combine_sweep_9()
+        found = _type_a_sweep_9(jobs) + _combine_sweep_9()
         note = (
             "pairable sum-zero sweep over divisors of 2^16*3^8 plus "
             "recombination of [1,-2,-3,6] with length-5 lists of norm <= 13/72"
@@ -574,6 +536,13 @@ def classify_length(n: int, jobs: int = 1) -> Catalog:
 # small-norm catalogs
 
 
+def _below(threshold: Fraction, shapes, keep) -> list[SignedList]:
+    """The lists passing `keep` in the sweeps over each groups tuple in
+    `shapes`, with the float test <= threshold, deduplicated."""
+    test = ("le", float(threshold))
+    return _dedup(a for groups in shapes for a in _sweep(_Sweep(groups, test), keep))
+
+
 def _small_norm_3(threshold: Fraction) -> list[SignedList]:
     """Length-3 lists with norm < threshold; finite only below 1/6.
 
@@ -585,19 +554,9 @@ def _small_norm_3(threshold: Fraction) -> list[SignedList]:
         raise ValueError("length-3 catalogs only exist below 43/216")
     if threshold >= Fraction(1, 6):
         raise ValueError("infinitely many length-3 lists below thresholds >= 1/6")
-    out = []
     bound = 1 + int(1 / (6 * (Fraction(1, 6) - threshold)))
-    for k in (2, 3, 4, 5):
-        for a in range(-bound, bound + 1):
-            if a == 0:
-                continue
-            for b in range(-k * bound, k * bound + 1):
-                if b == 0 or gcd(a, b) != 1 or abs(a * b) > bound * k:
-                    continue
-                lst = make_list([a, -k * a, b])
-                if lst.length == 3 and lst.is_primitive() and norm(lst) < threshold:
-                    out.append(lst)
-    return _dedup(out)
+    shapes = [(_Group(_box(bound), 1, (1, -k)), _Group(_box(k * bound), 1)) for k in (2, 3, 4, 5)]
+    return _below(threshold, shapes, lambda a: norm(a) < threshold)
 
 
 def _small_norm_4(threshold: Fraction) -> list[SignedList]:
@@ -609,23 +568,9 @@ def _small_norm_4(threshold: Fraction) -> list[SignedList]:
     """
     if threshold > Fraction(11, 60):
         raise ValueError("the length-4 catalog is complete only up to 11/60")
-    vals = _signed_divisors(1728)
-    out = []
-    thr = float(threshold) + FLOAT_TOL
-    for combo in combinations_with_replacement(vals, 4):
-        if _float_norm(combo) >= thr:
-            continue
-        a = make_list(combo)
-        if a.length == 4 and a.is_primitive() and classify_type(a) == "B" and norm(a) < threshold:
-            out.append(a)
-    for a in range(1, 41):
-        for b in range(-40, 41):
-            if b == 0 or gcd(a, b) != 1 or abs(a * b) > 40:
-                continue
-            lst = make_list([a, -3 * a, b, -3 * b])
-            if lst.length == 4 and lst.is_primitive() and classify_type(lst) == "B" and norm(lst) < threshold:
-                out.append(lst)
-    return _dedup(out)
+    family = (_Group(tuple(range(1, 41)), 1, (1, -3)), _Group(_box(40), 1, (1, -3)))
+    shapes = [(_Group(_signed_divisors(1728), 4),), family]
+    return _below(threshold, shapes, lambda a: classify_type(a) == "B" and norm(a) < threshold)
 
 
 def _small_norm_5(threshold: Fraction) -> list[SignedList]:
@@ -634,78 +579,8 @@ def _small_norm_5(threshold: Fraction) -> list[SignedList]:
     if threshold > Fraction(31, 168):
         raise ValueError("the pairable length-5 catalog is complete only up to 31/168")
     M = PRESET_MODULI["type_a_sum0_length7"]
-    halves = _signed_divisors(M // 2)
-    c_vals = _signed_divisors(M)
-    n = len(halves)
-    cv = np.array(c_vals, dtype=np.int64)
-    cvf = cv.astype(np.float64)
-    tol = float(threshold) + FLOAT_TOL
-    heads, counts, hit_c = [], [], []
-    for i in range(n):
-        a = halves[i]
-        ga = np.gcd(a, cv).astype(np.float64)
-        g2a = np.gcd(2 * a, cv).astype(np.float64)
-        ta = ga * ga / (a * cvf) + g2a * g2a / (-2 * a * cvf)
-        for j in range(i, n):
-            b = halves[j]
-            gb = np.gcd(b, cv).astype(np.float64)
-            g2b = np.gcd(2 * b, cv).astype(np.float64)
-            tb = gb * gb / (b * cvf) + g2b * g2b / (-2 * b * cvf)
-            base = _float_norm((a, -2 * a, b, -2 * b)) + 1.0 / 12.0
-            nrm = base + (ta + tb) / 6.0
-            c = cv[nrm <= tol]
-            heads.append((a, b))
-            counts.append(len(c))
-            hit_c.append(c)
-    ab = np.repeat(np.array(heads, dtype=np.int64), counts, axis=0)
-    a, b = ab[:, 0], ab[:, 1]
-    rows = np.stack((a, -2 * a, b, -2 * b, np.concatenate(hit_c)), axis=1)
-    out = []
-    for tup in sorted(set(map(tuple, rows[_live_rows(rows)].tolist()))):
-        lst = make_list(tup)
-        if lst.length == 5 and lst.is_primitive() and norm(lst) <= threshold:
-            out.append(lst)
-    return _dedup(out)
-
-
-def _block_sweep(vals, length: int, threshold: float):
-    """Generic multiset sweep: python loop over lead triples, vectorised
-    float norm over trailing triples via precomputed cross-term rows.
-    Yields candidate tuples with float norm <= threshold."""
-    tmat = _tmatrix(vals)
-    n = len(vals)
-    t1, t2, t3, _, internal, offsets = _triple_arrays(vals, tmat)
-    # per-value cross-term against every trailing triple
-    ct = np.empty((n, len(t1)))
-    for x in range(n):
-        row = tmat[x]
-        ct[x] = row[t1] + row[t2] + row[t3]
-    base = length / 12.0
-    if length == 6:
-        lead_iter = combinations_with_replacement(range(n), 3)
-        for (a, b, c) in lead_iter:
-            o = offsets[c]
-            lead_cross = tmat[a, b] + tmat[a, c] + tmat[b, c]
-            nrm = base + (lead_cross + ct[a][o:] + ct[b][o:] + ct[c][o:] + internal[o:]) / 6.0
-            for p in np.nonzero(nrm <= threshold)[0]:
-                idx = o + int(p)
-                yield (vals[a], vals[b], vals[c], vals[int(t1[idx])], vals[int(t2[idx])], vals[int(t3[idx])])
-    elif length == 8:
-        for lead in combinations_with_replacement(range(n), 5):
-            a, b, c, d, e = lead
-            o = offsets[e]
-            lead_cross = sum(tmat[x, y] for ii, x in enumerate(lead) for y in lead[ii + 1 :])
-            cross = ct[a][o:] + ct[b][o:] + ct[c][o:] + ct[d][o:] + ct[e][o:]
-            nrm = base + (lead_cross + cross + internal[o:]) / 6.0
-            for p in np.nonzero(nrm <= threshold)[0]:
-                idx = o + int(p)
-                yield tuple(vals[x] for x in lead) + (
-                    vals[int(t1[idx])],
-                    vals[int(t2[idx])],
-                    vals[int(t3[idx])],
-                )
-    else:
-        raise ValueError("block sweep supports lengths 6 and 8")
+    groups = (_Group(_signed_divisors(M // 2), 2, (1, -2)), _Group(_signed_divisors(M), 1))
+    return _below(threshold, [groups], lambda a: norm(a) <= threshold)
 
 
 def _small_norm_6(threshold: Fraction) -> list[SignedList]:
@@ -714,20 +589,13 @@ def _small_norm_6(threshold: Fraction) -> list[SignedList]:
     structured families from the 4-or-more-separated cases."""
     if threshold > Fraction(7, 36):
         raise ValueError("the non-pairable length-6 catalog is complete only up to 7/36")
-    vals = _signed_divisors(2**5 * 3**4)
-    out = []
-    for tup in _block_sweep(vals, 6, float(threshold) + FLOAT_TOL):
-        a = make_list(tup)
-        if a.length == 6 and a.is_primitive() and classify_type(a) == "B" and norm(a) <= threshold:
-            out.append(a)
-    for a_, b_ in ((a_, b_) for a_ in range(-100, 101) for b_ in range(-100, 101)):
-        if a_ == 0 or b_ == 0 or gcd(a_, b_) != 1:
-            continue
-        for shape in ([a_, -2 * a_, -3 * a_, 6 * a_, b_, -3 * b_], [a_, -2 * a_, 4 * a_, b_, -2 * b_, 4 * b_]):
-            lst = make_list(shape)
-            if lst.length == 6 and lst.is_primitive() and classify_type(lst) == "B" and norm(lst) <= threshold:
-                out.append(lst)
-    return _dedup(out)
+    box = _box(100)
+    shapes = [
+        (_Group(_signed_divisors(2**5 * 3**4), 6),),
+        (_Group(box, 1, (1, -2, -3, 6)), _Group(box, 1, (1, -3))),
+        (_Group(box, 2, (1, -2, 4)),),
+    ]
+    return _below(threshold, shapes, lambda a: classify_type(a) == "B" and norm(a) <= threshold)
 
 
 def _small_norm_7(threshold: Fraction) -> list[SignedList]:
@@ -735,36 +603,14 @@ def _small_norm_7(threshold: Fraction) -> list[SignedList]:
     support 2^9*3^3 with norm <= threshold (the global minimum 5/24 is
     attained here; all other cases exceed it)."""
     M = 2**9 * 3**3
-    halves = _signed_divisors(M // 2)
-    d_vals = _signed_divisors(M)
-    thr = float(threshold) + FLOAT_TOL
-    cands = []
-    for combo in combinations_with_replacement(halves, 3):
-        a, b, c = combo
-        body = (a, -2 * a, b, -2 * b, c, -2 * c)
-        base = _float_norm(body) + 1.0 / 12.0
-        for d in d_vals:
-            cross = sum(_float_cross(x, d) for x in body) / 6.0
-            if base + cross <= thr:
-                cands.append(body + (d,))
-    out = []
-    for tup in sorted(set(cands)):
-        lst = make_list(tup)
-        if lst.length == 7 and lst.is_primitive() and norm(lst) <= threshold:
-            out.append(lst)
-    return _dedup(out)
+    groups = (_Group(_signed_divisors(M // 2), 3, (1, -2)), _Group(_signed_divisors(M), 1))
+    return _below(threshold, [groups], lambda a: norm(a) <= threshold)
 
 
 def _small_norm_8(threshold: Fraction) -> list[SignedList]:
     """Length-8 lists over divisors of 30 with norm <= threshold; the
     global minimum 8/45 is attained on this support."""
-    vals = _signed_divisors(30)
-    out = []
-    for tup in _block_sweep(vals, 8, float(threshold) + FLOAT_TOL):
-        a = make_list(tup)
-        if a.length == 8 and a.is_primitive() and norm(a) <= threshold:
-            out.append(a)
-    return _dedup(out)
+    return _below(threshold, [(_Group(_signed_divisors(30), 8),)], lambda a: norm(a) <= threshold)
 
 
 def small_norm_catalog(n: int, threshold: Fraction) -> Catalog:
@@ -838,13 +684,7 @@ def d2_family_probe(a_range=range(1, 6), b_range=range(1, 6)) -> dict:
                 lst = make_list(shape)
                 if lst.length != len(shape) or lst.total != 0:
                     continue
-                pos = tuple(e for e in lst.elements if e > 0)
-                neg = tuple(-e for e in lst.elements if e < 0)
-                if len(pos) > len(neg):
-                    pos, neg = neg, pos
-                from ratio_lab.integrality import RatioSpec
-
-                spec = RatioSpec(numerator=pos, denominator=neg)
+                spec = RatioSpec.from_list(lst)
                 ok = spec.D == 2 and is_integral(spec)
                 results["checked"] += 1
                 results["integral"] += ok
@@ -866,62 +706,42 @@ class SearchSpec:
     strict: bool = True
     type_filter: str | None = None  # "A" (pairable) / "B" or None
     norm_equals: Fraction | None = None
-    solve_last: bool = False  # last element forced by sum zero, support-free
 
     def __post_init__(self):
         if self.support_modulus is None and self.box is None:
             raise ValueError("need a support modulus or a box bound for finiteness")
         if self.constraint not in ("none", "sum_zero"):
             raise ValueError("constraint must be 'none' or 'sum_zero'")
-        if self.solve_last and self.constraint != "sum_zero":
-            raise ValueError("solve_last requires the sum_zero constraint")
 
 
 def enumerate_lists(spec: SearchSpec):
     """Yield (list, norm) for every primitive non-degenerate list meeting
-    the spec, once per canonical form, in canonical order."""
-    if spec.solve_last:
-        # free elements divide the support; the last is forced by the
-        # zero-sum condition.  Only the norm-1/4 length-5 sweep is big
-        # enough to need this; it reuses the vectorised engine.
-        if spec.length == 5 and spec.norm_equals == QUARTER and spec.support_modulus:
-            for a in divisor_sweep_5(spec.support_modulus):
-                yield a, QUARTER
-            return
-        raise ValueError("solve_last is only wired for the length-5 norm-1/4 sweep")
-    if spec.support_modulus is not None:
-        vals = _signed_divisors(spec.support_modulus)
-        if spec.box is not None:
-            vals = [v for v in vals if abs(v) <= spec.box]
-    else:
-        vals = sorted(
-            [v for v in range(-spec.box, spec.box + 1) if v != 0],
-            key=lambda v: (abs(v), v > 0),
-        )
-    thr = None if spec.norm_threshold is None else float(spec.norm_threshold) + FLOAT_TOL
-    seen = set()
-    for combo in combinations_with_replacement(vals, spec.length):
-        if spec.constraint == "sum_zero" and sum(combo) != 0:
-            continue
-        if thr is not None and _float_norm(combo) > thr:
-            continue
-        a = make_list(combo)
-        if a.length != spec.length or not a.is_primitive():
-            continue
-        if a.elements in seen:
-            continue
-        seen.add(a.elements)
+    the spec, once per canonical form, in canonical order (ascending
+    |value|, negative first, element by element)."""
+    vals = _box(spec.box) if spec.support_modulus is None else _signed_divisors(spec.support_modulus)
+    if spec.box is not None:
+        vals = tuple(v for v in vals if abs(v) <= spec.box)
+    # with the sum-zero constraint the last element is solved, in the support
+    count, solved = (spec.length - 1, vals) if spec.constraint == "sum_zero" else (spec.length, False)
+    test = None
+    if spec.norm_equals is not None:
+        test = ("eq", float(spec.norm_equals))
+    elif spec.norm_threshold is not None:
+        test = ("le", float(spec.norm_threshold))
+
+    def keep(a: SignedList) -> bool:
         if spec.type_filter is not None and classify_type(a) != spec.type_filter:
-            continue
+            return False
         nv = norm(a)
         if spec.norm_equals is not None and nv != spec.norm_equals:
-            continue
+            return False
         if spec.norm_threshold is not None:
-            if spec.strict and not nv < spec.norm_threshold:
-                continue
-            if not spec.strict and not nv <= spec.norm_threshold:
-                continue
-        yield a, nv
+            return nv < spec.norm_threshold if spec.strict else nv <= spec.norm_threshold
+        return True
+
+    found = {a.elements: a for a in _sweep(_Sweep((_Group(vals, count),), test, solved), keep)}
+    for elements in sorted(found, key=lambda els: [(abs(v), v > 0) for v in els]):
+        yield found[elements], norm(found[elements])
 
 
 # ---------------------------------------------------------------------------

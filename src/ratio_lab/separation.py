@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd
 
+from ratio_lab.arith import divisors, primes_upto
 from ratio_lab.lists import SignedList, concat, make_list, norm, scale
 
 __all__ = [
@@ -165,17 +166,6 @@ def find_separations(a: SignedList, k: int) -> list[SeparationWitness]:
     return out
 
 
-def _divisors(m: int) -> list[int]:
-    m = abs(m)
-    out = []
-    for d in range(1, isqrt(m) + 1):
-        if m % d == 0:
-            out.append(d)
-            if d != m // d:
-                out.append(m // d)
-    return sorted(out)
-
-
 def max_separation(a: SignedList) -> int:
     """Largest k >= 2 for which a is k-separated, or 1 if none.
 
@@ -189,7 +179,7 @@ def max_separation(a: SignedList) -> int:
     best = 1
     for b_idx, b, B, c, C in _partitions(a):
         for coeff in (B, C):
-            for k in _divisors(coeff):
+            for k in divisors(coeff):
                 if k > best and _witness_if_valid(a, k, b_idx, b, B, c, C):
                     best = k
     return best
@@ -227,16 +217,6 @@ class SupportBound:
     modulus: int
 
 
-def _primes_upto(k: int) -> list[int]:
-    sieve = bytearray([1]) * (k + 1)
-    out = []
-    for p in range(2, k + 1):
-        if sieve[p]:
-            out.append(p)
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return out
-
-
 def support_bound(n: int, k: int) -> SupportBound:
     """Elements of a primitive length-n list that is at most k-separated
     divide prod over primes p <= k of p^(r(n-1)), p^r the largest power
@@ -244,7 +224,7 @@ def support_bound(n: int, k: int) -> SupportBound:
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
     modulus = 1
-    for p in _primes_upto(k):
+    for p in primes_upto(k):
         r = 0
         q = 1
         while q * p <= k:

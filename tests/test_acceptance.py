@@ -171,19 +171,11 @@ def test_criterion_6_integrality_equivalence():
                 assert (lo >= 0) == _landau_nonneg(pos, neg)
 
 
-def _spec_of(a):
-    pos = tuple(e for e in a.elements if e > 0)
-    neg = tuple(-e for e in a.elements if e < 0)
-    if len(pos) > len(neg):
-        pos, neg = neg, pos
-    return RatioSpec(numerator=pos, denominator=neg)
-
-
 def test_criterion_7_valuation_oracle():
     start = time.time()
     for name in ("sporadic_length5", "sporadic_length7", "sporadic_length9"):
         for e in load_golden(name).entries:
-            assert valuation_oracle(_spec_of(e.list), n_max=200) is None, e.list
+            assert valuation_oracle(RatioSpec.from_list(e.list), n_max=200) is None, e.list
     rng = random.Random(52)
     families = 0
     while families < 150:  # 50 per family
@@ -203,7 +195,7 @@ def test_criterion_7_valuation_oracle():
             lst = make_list([2 * hi, lo, -hi, -2 * lo, -(hi - lo)])
         if lst.length not in (3, 5) or lst.total != 0 or not lst.is_primitive():
             continue
-        assert valuation_oracle(_spec_of(lst), n_max=200) is None, lst
+        assert valuation_oracle(RatioSpec.from_list(lst), n_max=200) is None, lst
         families += 1
     rejected = 0
     while rejected < 100:

@@ -68,6 +68,17 @@ def test_landau_reflection_and_range():
             assert _f_at(r, x) + _f_at(r, -x) == r.D
 
 
+def test_ratio_spec_from_list():
+    # D = 1: the longer, negative side is the denominator
+    assert RatioSpec.from_list(make_list([1, -6, -10, -15, 30])) == CHEB
+    # D = 2
+    spec = RatioSpec.from_list(make_list([3, 3, -1, -1, -2, -2]))
+    assert (spec.numerator, spec.denominator, spec.D) == ((3, 3), (1, 1, 2, 2), 2)
+    # more positive than negative entries: the sides swap
+    assert RatioSpec.from_list(make_list([-1, 6, 10, 15, -30])) == CHEB
+    assert RatioSpec.from_list(make_list([1, 1, -2])) == RatioSpec(numerator=(2,), denominator=(1, 1))
+
+
 def test_norm_quarter_check():
     a = make_list([1, -6, -10, -15, 30])
     spec = norm_quarter_check(a)

@@ -11,6 +11,7 @@ from ratio_lab.search import (
     SearchSpec,
     canonical_pair_key,
     d2_family_probe,
+    divisor_sweep_5,
     enumerate_lists,
     family_search_5,
     load_golden,
@@ -42,21 +43,50 @@ def test_family_search_5_box_widening_adds_nothing():
     assert widened == base
 
 
-def test_enumerate_matches_naive_reference_tiny():
-    spec = SearchSpec(length=3, support_modulus=12)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(length=3, support_modulus=12),
+        # 1/6 is attained: the strict cut keeps 6 lists, the non-strict 24
+        SearchSpec(length=4, support_modulus=12, norm_threshold=F(1, 6)),
+        SearchSpec(length=4, support_modulus=12, norm_threshold=F(1, 6), strict=False),
+        SearchSpec(length=5, support_modulus=12, constraint="sum_zero"),
+        SearchSpec(length=5, support_modulus=12, constraint="sum_zero", norm_equals=F(1, 4)),
+        SearchSpec(length=4, box=5, norm_threshold=F(1, 5)),
+        SearchSpec(length=4, support_modulus=24, box=6, type_filter="B"),
+    ],
+    ids=["plain", "strict", "non-strict", "sum-zero", "norm-equals", "box", "type-filter"],
+)
+def test_enumerate_matches_naive_reference_tiny(spec):
     ours = list(enumerate_lists(spec))
-    # naive reference: raw triples, canonicalized, dedup by element tuple
-    vals = [v for v in range(-12, 13) if v != 0 and 12 % abs(v) == 0]
+    # naive reference: raw multisets, canonicalized, dedup by element tuple
+    bound = spec.box if spec.box is not None else spec.support_modulus
+    vals = [v for v in range(-bound, bound + 1) if v != 0]
+    if spec.support_modulus is not None:
+        vals = [v for v in vals if spec.support_modulus % v == 0]
     ref = {}
-    for combo in combinations_with_replacement(vals, 3):
+    for combo in combinations_with_replacement(vals, spec.length):
+        if spec.constraint == "sum_zero" and sum(combo) != 0:
+            continue
         a = make_list(combo)
-        if a.length == 3 and a.is_primitive():
-            ref[a.elements] = norm(a)
+        if a.length != spec.length or not a.is_primitive():
+            continue
+        if spec.type_filter is not None and classify_type(a) != spec.type_filter:
+            continue
+        nv = norm(a)
+        if spec.norm_equals is not None and nv != spec.norm_equals:
+            continue
+        if spec.norm_threshold is not None:
+            if nv > spec.norm_threshold or spec.strict and nv == spec.norm_threshold:
+                continue
+        ref[a.elements] = nv
+    assert ref
     assert {a.elements for a, _ in ours} == set(ref)
     assert all(ref[a.elements] == nv for a, nv in ours)
-    # dedup soundness: no canonical form twice
+    # dedup soundness: no canonical form twice; canonical order
     seen = [a.elements for a, _ in ours]
     assert len(seen) == len(set(seen))
+    assert seen == sorted(seen, key=lambda els: [(abs(v), v > 0) for v in els])
 
 
 def test_enumerate_length2_support2():
@@ -166,19 +196,31 @@ def test_sum_zero_divisor_lists_small():
     assert keys(lists) == ref
 
 
-def _sum_zero_reference(modulus, length, order):
-    """Brute force with the representative rule of sum_zero_divisor_lists:
-    visit the sum-zero multisets, each written as a tuple sorted by
-    `order`, in sorted tuple order, keep the first list for each
-    canonical key, and return the kept lists sorted by key."""
-    vals = [s * d for d in range(1, modulus + 1) if modulus % d == 0 for s in (1, -1)]
-    raw = {tuple(sorted(c, key=order)) for c in combinations_with_replacement(vals, length) if sum(c) == 0}
+def _signed_divisors(modulus):
+    return [s * d for d in range(1, modulus + 1) if modulus % d == 0 for s in (1, -1)]
+
+
+def _first_per_key(candidates, keep=lambda a: True):
+    """The representative rule of the searches: visit the candidate
+    tuples in sorted order, keep the first list for each canonical key
+    among those that are nonzero, primitive, as long as their tuple and
+    pass `keep`, and return the kept lists sorted by key."""
     kept = {}
-    for tup in sorted(raw):
+    for tup in sorted(set(candidates)):
+        if 0 in tup:
+            continue
         a = make_list(tup)
-        if a.length == length and a.is_primitive():
+        if a.length == len(tup) and a.is_primitive() and keep(a):
             kept.setdefault(canonical_pair_key(a), a)
     return [kept[k].elements for k in sorted(kept)]
+
+
+def _sum_zero_reference(modulus, length, order):
+    """Brute force with the representative rule of sum_zero_divisor_lists:
+    the candidates are the sum-zero multisets, each written as a tuple
+    sorted by `order`."""
+    combos = combinations_with_replacement(_signed_divisors(modulus), length)
+    return _first_per_key(tuple(sorted(c, key=order)) for c in combos if sum(c) == 0)
 
 
 @pytest.mark.parametrize(
@@ -196,9 +238,38 @@ def test_sum_zero_divisor_lists_representatives(modulus, length, order):
     assert ours == _sum_zero_reference(modulus, length, order)
 
 
-def test_divisor_sweep_jobs_invariant():
-    from ratio_lab.search import divisor_sweep_5
+def _support_order(v):
+    return (abs(v), v > 0)
 
+
+@pytest.mark.parametrize("modulus, count", [(60, 48), (72, 36)])
+def test_divisor_sweep_5_representatives(modulus, count):
+    # candidates: four divisors in support order, then the solved fifth
+    combos = combinations_with_replacement(_signed_divisors(modulus), 4)
+    cands = (tuple(sorted(c, key=_support_order)) + (-sum(c),) for c in combos)
+    ref = _first_per_key(cands, lambda a: norm(a) == F(1, 4))
+    assert len(ref) == count
+    assert [a.elements for a in divisor_sweep_5(modulus)] == ref
+
+
+def test_family_search_5_representatives():
+    box = [v for v in range(-20, 21) if v]
+    cands = ((a, -2 * a, b, -3 * b, a + 2 * b) for a in box for b in box)
+    ref = _first_per_key(cands, lambda a: norm(a) == F(1, 4) and family_membership(a) == "sporadic")
+    assert len(ref) == 19
+    assert [a.elements for a in family_search_5(20, 20)] == ref
+
+
+def test_float_prefilter_bound_is_checked(monkeypatch):
+    import ratio_lab.search as search
+
+    assert 2.9e-14 < search._prefilter_error(9) < 3.1e-14
+    monkeypatch.setattr(search, "FLOAT_TOL", 1e-16)
+    with pytest.raises(ArithmeticError):
+        divisor_sweep_5(60)
+
+
+def test_divisor_sweep_jobs_invariant():
     # tiny modulus: sharding must not change the result set
     one = keys(divisor_sweep_5(modulus=360))
     two = keys(divisor_sweep_5(modulus=360, jobs=2))

@@ -179,9 +179,15 @@ def norm_by_integration(a: SignedList, *, empty_ok: bool = False) -> Fraction:
     The inner sums group by denominator |a_j|, so everything is integer
     arithmetic until the final combination.  Independent of norm(); the
     two must agree exactly.
+
+    The breakpoints m/|a_j| are ordered by their float values, which is
+    exact while distinct ones, at least 1/max|a_j|^2 apart, stay more
+    than 2^-52 apart; larger entries raise ValueError.
     """
     if _require_nonempty(a, empty_ok):
         return Fraction(0)
+    if max(abs(e) for e in a.elements) >= 2**26:
+        raise ValueError("norm_by_integration needs every |entry| < 2^26")
     s = a.total
     pos = sum(1 for e in a.elements if e > 0)
     u1 = a.length + 2 * s - 2 * pos
@@ -196,11 +202,15 @@ def norm_by_integration(a: SignedList, *, empty_ok: bool = False) -> Fraction:
     m_arr = np.concatenate([m for m, _, _ in chunks])
     v_arr = np.concatenate([np.full(len(m), v, dtype=np.int64) for m, v, _ in chunks])
     du = np.concatenate([np.full(len(m), d, dtype=np.int64) for m, _, d in chunks])
-    # float keys are safe: distinct breakpoints differ by >= 1/(v*v')
     order = np.argsort(m_arr / v_arr, kind="stable")
     m_arr, v_arr, du = m_arr[order], v_arr[order], du[order]
     u_before = (a.length - 2 * (a.length - pos)) + np.cumsum(du) - du
     d_usq = (2 * u_before + du) * du
+    # int64 sums of m*d_usq and m*m*du are exact while the sum of the
+    # terms' sizes stays below 2^63; past that, sum Python ints
+    top = int(m_arr.max())
+    if len(m_arr) * top * max(int(np.abs(d_usq).max()), 2 * top) >= 2**63:
+        m_arr, d_usq, du = (x.astype(object) for x in (m_arr, d_usq, du))
     s1 = Fraction(0)
     s2 = Fraction(0)
     for v in sorted({v for _, v, _ in chunks}):

@@ -21,6 +21,14 @@ blocks from per-group-pair cross-term tables; `--jobs` shards that loop.
 the rest exactly, and `_dedup` identifies lists up to permutation and
 global sign flip.  The float test only prunes: every sweep checks that
 the error bound of `_prefilter_error` is below FLOAT_TOL.
+
+The sum-zero enumeration for lengths 5 and 7 (`_sum_zero_vectorised`)
+stays in int64 arrays until its final lists.  Of each multiset and its
+negation it keeps one row, the one whose numerically sorted tuple is
+lexicographically smaller, which is the list that sorting the candidate
+tuples and keeping the first per canonical_pair_key would pick; the rows
+are then put in canonical order and sorted by that key in numpy, and
+each becomes a SignedList directly.
 """
 
 from __future__ import annotations
@@ -177,6 +185,24 @@ def _member_table(values) -> tuple[int, np.ndarray]:
     return m, table
 
 
+def _gcd_tables(groups, top: int) -> tuple[np.ndarray, dict]:
+    """(slot, tabs) for a sweep whose elements all divide `top`.  For an
+    integer e with d = gcd(top, e), slot[e % top] is the index of d among
+    the divisors of top, and tabs[gi, m][i, slot] = gcd(x, d)^2 / x for
+    x = m * groups[gi].values[i]: gcd(x, e) = gcd(x, d) as x divides top,
+    and each entry is the quotient of exact integers rounded once, as the
+    direct g * g / x rounds it."""
+    divs = np.array(divisors(top))
+    slot = np.searchsorted(divs, np.gcd(np.arange(top), top)).astype(np.min_scalar_type(len(divs)))
+    tabs = {}
+    for gi, g in enumerate(groups):
+        for m in g.mults:
+            x = m * np.array(g.values)[:, None]
+            gg = np.gcd(x, divs).astype(np.float64)
+            tabs[gi, m] = gg * gg / x
+    return slot, tabs
+
+
 def _n_combos(groups, params) -> int:
     """The number of index combinations of the given parameters (by group)."""
     return prod(comb(len(groups[gi].values) + k - 1, k) for gi, k in Counter(params).items())
@@ -213,6 +239,14 @@ def _scan(args) -> list[tuple[int, ...]]:
     const = sweep.length / 2
     const += sum(gcd(m, mm) ** 2 / (m * mm) for gi in owner for m, mm in combinations(groups[gi].mults, 2))
     member = _member_table(solved) if isinstance(solved, tuple) else None
+    # a free solved element e takes gcd(x, e) with every other element x;
+    # when each x divides the largest, top, and the sweep has at least top
+    # rows, those come from tables indexed by e % top (_gcd_tables)
+    elements = [m * v for g in groups for m in g.mults for v in g.values]
+    top = max(map(abs, elements))
+    gcds = None
+    if solved is True and _n_combos(groups, owner) >= top and all(top % x == 0 for x in elements):
+        gcds = _gcd_tables(groups, top)
     op, target = sweep.test or ("le", np.inf)
     segments = [combinations_with_replacement(range(len(vals[g])), k) for g, k in Counter(head).items()]
     out = []
@@ -241,9 +275,16 @@ def _scan(args) -> list[tuple[int, ...]]:
                 cols += [v if m == 1 else m * v for gi, v in zip(tail, tv) for m in groups[gi].mults]
                 if solved is not False:
                     against_e = 0.0
-                    for x in cols:
-                        g = np.gcd(x, e).astype(np.float64)
-                        against_e = against_e + g * g / x
+                    if gcds is None:
+                        for x in cols:
+                            g = np.gcd(x, e).astype(np.float64)
+                            against_e = against_e + g * g / x
+                    else:
+                        slot, tabs = gcds
+                        k = slot[e % top]
+                        for gi, i in chain(zip(head, hi), zip(tail, ci)):
+                            for m in groups[gi].mults:
+                                against_e = against_e + tabs[gi, m][i, k]
                     total += against_e / e
                     cols.append(e)
                 nrm = total / 6
@@ -317,7 +358,7 @@ def divisor_sweep_5(modulus: int | None = None, jobs: int = 1) -> list[SignedLis
 def sum_zero_divisor_lists(modulus: int, length: int) -> list[SignedList]:
     """Every primitive non-degenerate sum-zero list of the given length
     with all elements dividing the modulus, deduplicated up to
-    permutation and global sign flip."""
+    permutation and global sign flip, in canonical_pair_key order."""
     if length < 2 or length > 7:
         raise ValueError("supported lengths: 2..7")
     vals = _signed_divisors(modulus)
@@ -329,65 +370,81 @@ def sum_zero_divisor_lists(modulus: int, length: int) -> list[SignedList]:
             j = pos.get(last)
             if j is not None and j >= combo[-1]:
                 raw.add(tuple(vals[i] for i in combo) + (last,))
-    else:
-        raw = _sum_zero_vectorised(vals, length)
-    return _dedup(_confirm(raw, lambda a: a.length == length and a.is_primitive()))
+        return _dedup(_confirm(raw, lambda a: a.length == length and a.is_primitive()))
+    rows = _sum_zero_vectorised(vals, length)
+    if rows.shape[1] != length:
+        return []  # length 6: the kernel builds 7-element rows only
+    # each row and its negation in SignedList order, ascending |v| and
+    # negative first; the smaller of the two is the canonical_pair_key
+    els, neg = _canonical_order(rows), _canonical_order(-rows)
+    keys = np.where(_lex_less(els, neg)[:, None], els, neg)
+    return [SignedList(t) for t in els[np.lexsort(keys.T[::-1])].tolist()]
 
 
-def _sum_zero_vectorised(vals, length) -> list[tuple[int, ...]]:
-    """Vectorised enumeration for lengths 5..7: the free elements are a
-    head (python loop) plus a flattened tail block; the last element is
-    solved from the zero-sum condition and looked up in the support.
+def _canonical_order(rows: np.ndarray) -> np.ndarray:
+    """Each row sorted as make_list sorts: ascending |v|, negative first."""
+    return np.take_along_axis(rows, np.argsort(2 * np.abs(rows) + (rows > 0), axis=1), axis=1)
 
-    Each primitive non-degenerate multiset is returned once, as a
-    numerically sorted tuple.
+
+def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a that are lexicographically smaller than the
+    same rows of b."""
+    first = (a != b).argmax(axis=1)[:, None]
+    return np.take_along_axis(a, first, axis=1)[:, 0] < np.take_along_axis(b, first, axis=1)[:, 0]
+
+
+def _sum_zero_vectorised(vals, length) -> np.ndarray:
+    """Sum-zero rows over the support `vals` for lengths 5 and 7.
+
+    A row is a head (one support index for length 5, three otherwise),
+    a tail of three indices from the head's last on, and a last element
+    solved from the zero sum, kept if it lies in the support at an index
+    no smaller than the tail's last, so each multiset is reached once.
+    Heads that share a last index share their tail slice and run as one
+    2-D block of about CHUNK cells.
+
+    Returns one row per +- pair of primitive non-degenerate multisets,
+    sorted numerically: a row is kept only if it is lexicographically
+    smaller than its negation -row[::-1], which the symmetric support
+    also reaches.  This is the member of the pair that comes first in
+    sorted order.
     """
     n = len(vals)
     maxabs = abs(vals[-1])
     v = np.array(vals, dtype=np.int64)
     tails = _combos(n, 3)
-    t1, t3 = tails[:, 0], tails[:, 2]
     tsums = v[tails].sum(axis=1)
-    offsets = np.searchsorted(t1, np.arange(n + 1))
+    offsets = np.searchsorted(tails[:, 0], np.arange(n))
     # support index over the reachable range of the solved element, -1 off it
-    span = (length - 1) * maxabs + maxabs
-    index = np.full(2 * span + 1, -1, dtype=np.int64)
+    span = length * maxabs
+    index = np.full(2 * span + 1, -1, dtype=np.min_scalar_type(-n))
     index[v + span] = np.arange(n)
-    raw = []
-
-    def scan(head_vals: tuple[int, ...], s_head: int, start: int):
-        o = offsets[start]
-        if o == len(tsums):
-            return
-        solved = -(s_head + tsums[o:])
-        # the solved element sits at or after the tail's last index, so
-        # each multiset is reached by exactly one (head, tail) split
-        hits = np.nonzero(index[solved + span] >= t3[o:])[0]
-        if not len(hits):
-            return
-        rows = np.empty((len(hits), len(head_vals) + 4), dtype=np.int64)
-        rows[:, : len(head_vals)] = head_vals
-        rows[:, -4:-1] = v[tails[o + hits]]
-        rows[:, -1] = solved[hits]
-        raw.extend(map(tuple, np.sort(rows[_live_rows(rows)], axis=1).tolist()))
-
-    if length == 5:
-        for i in range(n):
-            scan((vals[i],), vals[i], i)
-    else:
-        # suffix extremes of tail sums for cheap infeasibility skips
-        suf_min = np.minimum.accumulate(tsums[::-1])[::-1]
-        suf_max = np.maximum.accumulate(tsums[::-1])[::-1]
-        for idx in range(len(tsums)):
-            a, b, c = map(int, tails[idx])
-            s_head = int(tsums[idx])
-            o = offsets[c]
-            if o >= len(tsums):
-                continue
-            if s_head + int(suf_min[o]) > maxabs or s_head + int(suf_max[o]) < -maxabs:
-                continue
-            scan((vals[a], vals[b], vals[c]), s_head, c)
-    return raw
+    heads = np.arange(n)[:, None] if length == 5 else tails
+    hsums = v[heads].sum(axis=1)
+    last = heads[:, -1]
+    # skip heads whose every tail leaves a solved element beyond maxabs
+    suf_min = np.minimum.accumulate(tsums[::-1])[::-1][offsets[last]]
+    suf_max = np.maximum.accumulate(tsums[::-1])[::-1][offsets[last]]
+    live = (hsums + suf_min <= maxabs) & (hsums + suf_max >= -maxabs)
+    out = [np.empty((0, heads.shape[1] + 4), dtype=np.int64)]
+    for c in range(n):
+        hs = np.nonzero(live & (last == c))[0]
+        o = offsets[c]
+        shifted, t3 = span - tsums[o:], tails[o:, 2]
+        step = max(1, CHUNK // len(t3))
+        hit_h, hit_t = [], []
+        for b in range(0, len(hs), step):
+            block = hs[b : b + step]
+            h, t = np.nonzero(index[shifted - hsums[block, None]] >= t3)
+            hit_h.append(block[h])
+            hit_t.append(t + o)
+        if not hit_h:
+            continue
+        hh, tt = np.concatenate(hit_h), np.concatenate(hit_t)
+        rows = np.concatenate([v[heads[hh]], v[tails[tt]], -(hsums[hh] + tsums[tt])[:, None]], axis=1)
+        rows = np.sort(rows[_live_rows(rows)], axis=1)
+        out.append(rows[_lex_less(rows, -rows[:, ::-1])])
+    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------

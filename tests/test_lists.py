@@ -76,6 +76,15 @@ def test_integration_oracle_small_cases():
     assert norm_by_integration(make_list([30, 1, -15, -10, -6])) == F(1, 4)
 
 
+def test_integration_norm_large_entries():
+    # 2*10^6 overflows int64 breakpoint sums that 10^6 still fits
+    for a in (make_list([1, 2, -1_000_000]), make_list([1, 2, -2_000_000])):
+        assert norm_by_integration(a) == norm(a)
+    # past 2^26 the float order of the breakpoints is no longer exact
+    with pytest.raises(ValueError):
+        norm_by_integration(make_list([1, 2**26]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(nonempty_lists)
 def test_norm_matches_integration(a):

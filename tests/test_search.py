@@ -230,12 +230,25 @@ def _sum_zero_reference(modulus, length, order):
         # the vectorised lengths 5..7 in numeric order
         (60, 4, lambda v: (abs(v), v > 0)),
         (72, 5, None),
+        (120, 5, None),
+        (12, 7, None),
+        (18, 7, None),
         (30, 7, None),
     ],
 )
 def test_sum_zero_divisor_lists_representatives(modulus, length, order):
     ours = [a.elements for a in sum_zero_divisor_lists(modulus, length)]
     assert ours == _sum_zero_reference(modulus, length, order)
+
+
+@pytest.mark.parametrize("modulus, length", [(72, 5), (120, 5), (12, 7), (30, 7)])
+def test_sum_zero_divisor_lists_are_canonical(modulus, length):
+    # lengths 5 and 7 build their SignedLists without make_list
+    lists = sum_zero_divisor_lists(modulus, length)
+    assert lists
+    for a in lists:
+        assert a == make_list(a.elements)
+        assert all(type(v) is int for v in a.elements)
 
 
 def _support_order(v):

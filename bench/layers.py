@@ -1,4 +1,4 @@
-"""Time the sum-zero enumeration and the length-5 divisor sweep on fixed inputs.
+"""Time the sum-zero enumeration and the classification sweeps on fixed inputs.
 
     python3 bench/layers.py
 
@@ -25,14 +25,24 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from ratio_lab.search import divisor_sweep_5, sum_zero_divisor_lists  # noqa: E402
+from ratio_lab.search import (  # noqa: E402
+    _type_a3_sweep_7,
+    _type_a_sweep_9,
+    _type_b_sweep_7,
+    divisor_sweep_5,
+    sum_zero_divisor_lists,
+)
 
 CALLS = {
     "sum_zero_divisor_lists(432, 7)": lambda: sum_zero_divisor_lists(432, 7),
     "sum_zero_divisor_lists(720, 7)": lambda: sum_zero_divisor_lists(720, 7),
     "sum_zero_divisor_lists(1728, 7)": lambda: sum_zero_divisor_lists(1728, 7),
+    "sum_zero_divisor_lists(248832, 7)": lambda: sum_zero_divisor_lists(248832, 7),
     "divisor_sweep_5(1800)": lambda: divisor_sweep_5(1800),
     "divisor_sweep_5()": lambda: divisor_sweep_5(),
+    "_type_b_sweep_7()": lambda: _type_b_sweep_7(),
+    "_type_a3_sweep_7()": lambda: _type_a3_sweep_7(),
+    "_type_a_sweep_9()": lambda: _type_a_sweep_9(),
 }
 RUNS = 3
 

@@ -6,11 +6,10 @@ Exit codes: 0 on success / verification pass, 1 on a verification
 failure (non-integral spec, catalog mismatch), 2 on usage errors.
 JSON output is stable-ordered and round-trips through the emitting
 types.  classify --jobs N deals the head loop of each divisor-support
-shape sweep (length 5, both pairable length-7 sweeps, length 9) out to
-N worker processes; the length-5 family scan, the length-7 sum-zero
-sweep and the length-9 recombination run in the main process.  Results
-are identical for any N from 1 to the number of CPUs, and other values
-are usage errors.
+sweep (length 5, all three length-7 sweeps, length 9) out to N worker
+processes; the length-5 family scan and the length-9 recombination run
+in the main process.  Results are identical for any N from 1 to the
+number of CPUs, and other values are usage errors.
 """
 
 from __future__ import annotations

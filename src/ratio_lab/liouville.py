@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from ratio_lab.arith import primes_upto
 from ratio_lab.bounds import mertens_product_bound
@@ -33,11 +34,13 @@ __all__ = [
 ]
 
 
-def _factorize(n: int) -> list[tuple[int, int]]:
-    """Trial division; intended for smooth desk-scale N."""
+def _factorize(n: int, bound: int = 10**6) -> list[tuple[int, int]]:
+    """Trial division by the integers up to `bound`.  A cofactor left below
+    bound^2 is prime; a larger one cannot be certified prime without
+    searching past the bound, and raises ValueError."""
     out = []
     p = 2
-    while p * p <= n:
+    while p * p <= n and p <= bound:
         if n % p == 0:
             k = 0
             while n % p == 0:
@@ -45,6 +48,8 @@ def _factorize(n: int) -> list[tuple[int, int]]:
                 k += 1
             out.append((p, k))
         p += 1 if p == 2 else 2
+    if p * p <= n:
+        raise ValueError(f"trial division to {bound} leaves a cofactor {n} above {bound}^2, not certified prime")
     if n > 1:
         out.append((n, 1))
     return out
@@ -57,11 +62,16 @@ class LiouvilleList:
     d_of_N: int
 
 
-def build_liouville(N: int) -> LiouvilleList:
-    """The list {lambda(d) d : d | N}, canonical order."""
+def build_liouville(N: int, max_divisors: int = 4096) -> LiouvilleList:
+    """The list {lambda(d) d : d | N}, canonical order.  Raises ValueError
+    when d(N) exceeds `max_divisors`, as the exact norm of the list takes
+    d(N)(d(N) - 1)/2 gcds, 8.4 million at the cap."""
     if N < 1:
         raise ValueError("N must be positive")
     factors = _factorize(N)
+    d = prod(k + 1 for _, k in factors)
+    if d > max_divisors:
+        raise ValueError(f"d(N) = {d} exceeds the cap of {max_divisors} divisors")
     elements = [1]
     for p, k in factors:
         elements = [

@@ -10,25 +10,18 @@ two pairable shape sweeps and a sum-zero sweep over divisors of
 2^10*3^5 for the non-pairable case; for length 9 a pairable sweep plus
 a recombination of [1,-2,-3,6] with the small-norm length-5 catalogue.
 
-Every sweep but the sum-zero enumeration is data (`_Sweep`) run by one
-engine: parameter groups (a support, how many parameters are drawn from
-it, the multiples m*v a parameter v contributes), an optional last
-element solved from the zero sum, a float test (== target or <= bound)
-and an exact `keep` predicate.  `_scan` loops in Python over the leading
-parameters and evaluates the float norm of the trailing ones in numpy
-blocks from per-group-pair cross-term tables; `--jobs` shards that loop.
-`_live_rows` drops degenerate and non-primitive rows, `_confirm` decides
-the rest exactly, and `_dedup` identifies lists up to permutation and
-global sign flip.  The float test only prunes: every sweep checks that
-the error bound of `_prefilter_error` is below FLOAT_TOL.
-
-The sum-zero enumeration for lengths 5 and 7 (`_sum_zero_vectorised`)
-stays in int64 arrays until its final lists.  Of each multiset and its
-negation it keeps one row, the one whose numerically sorted tuple is
-lexicographically smaller, which is the list that sorting the candidate
-tuples and keeping the first per canonical_pair_key would pick; the rows
-are then put in canonical order and sorted by that key in numpy, and
-each becomes a SignedList directly.
+Every sweep is data (`_Sweep`) run by one engine, `_scan`: parameter
+groups (a support, how many parameters are drawn from it, the multiples
+m*v a parameter v contributes), an optional last element solved from the
+zero sum, a float test (== target or <= bound) and an exact `keep`
+predicate.  The engine is one sorted join: each head of parameters takes
+one searchsorted range of the sorted tail rows, so only rows that can
+hit are visited, each multiset once, and their float norms come from
+cross-term tables.  `_live_rows` drops degenerate and non-primitive
+rows, `_confirm` decides the rest exactly, and `_dedup` identifies lists
+up to permutation and global sign flip.  The float test only prunes:
+every sweep checks that the error bound of `_prefilter_error` is below
+FLOAT_TOL.
 """
 
 from __future__ import annotations
@@ -69,11 +62,11 @@ __all__ = [
 
 QUARTER = Fraction(1, 4)
 QUARTER_TEST = ("eq", 0.25)
-# float prefilter tolerance; _sweep proves on every sweep that it exceeds
+# float prefilter tolerance; _rows proves on every sweep that it exceeds
 # the float error (_prefilter_error)
 FLOAT_TOL = 5e-13
-# the flattened tail of a sweep holds at most TAIL_ROWS index combinations
-# and is evaluated CHUNK rows per numpy call, which bounds the temporaries
+# a sweep's tail is sorted at most TAIL_ROWS index rows at a time (unless
+# its heads are more), and heads and hits go CHUNK rows per numpy call
 TAIL_ROWS = 1 << 17
 CHUNK = 1 << 13
 
@@ -128,8 +121,10 @@ class _Group:
 class _Sweep:
     """A sweep as data.  A row holds its parameters' elements in group
     order, then, if `solved` is set, minus their sum, which must be
-    nonzero (True) or one of the values in `solved`.  `test` is the float
-    prefilter: ("eq", target), ("le", bound) or None."""
+    nonzero (True) or one of the values in `solved`.  _scan makes such a
+    last element one more parameter, of the last group if that group's
+    values are `solved` (then each multiset is reached once).  `test` is
+    the float prefilter: ("eq", target), ("le", bound) or None."""
 
     groups: tuple[_Group, ...]
     test: tuple[str, float] | None = None
@@ -159,30 +154,25 @@ def _prefilter_error(length: int) -> float:
 
 
 def _combos(n: int, k: int) -> np.ndarray:
-    """The non-decreasing k-tuples of indices below n, in lexical order."""
+    """The non-decreasing k-tuples of indices below n, in lexical order, in
+    the smallest unsigned type that holds them."""
     flat = chain.from_iterable(combinations_with_replacement(range(n), k))
-    return np.fromiter(flat, dtype=np.intp, count=comb(n + k - 1, k) * k).reshape(-1, k)
+    return np.fromiter(flat, dtype=np.min_scalar_type(n), count=comb(n + k - 1, k) * k).reshape(-1, k)
 
 
 def _cross(x: _Group, y: _Group) -> np.ndarray:
-    """T[i, j]: the cross terms between parameters x.values[i], y.values[j]."""
+    """T[i, j]: the cross terms between parameters x.values[i], y.values[j],
+    built about CHUNK entries at a time, which bounds the temporaries."""
     xv, yv = np.array(x.values)[:, None], np.array(y.values)[None, :]
     out = np.zeros((len(x.values), len(y.values)))
-    for m, mm in product(x.mults, y.mults):
-        g = np.gcd(m * xv, mm * yv).astype(np.float64)
-        out += g * g / ((m * xv).astype(np.float64) * (mm * yv))
+    step = 1 + CHUNK // len(y.values)
+    for r, (m, mm) in product(range(0, len(x.values), step), product(x.mults, y.mults)):
+        g = np.gcd(m * xv[r : r + step], mm * yv).astype(np.float64)
+        g *= g
+        g /= m * xv[r : r + step]
+        g /= mm * yv
+        out[r : r + step] += g
     return out
-
-
-def _member_table(values) -> tuple[int, np.ndarray]:
-    """(m, table) with table[x % m] == x exactly for x in `values`; an
-    empty slot r holds r + 1, which is not congruent to r."""
-    m = max(2, 2 * len(values))
-    while len({v % m for v in values}) < len(values):
-        m += 1
-    table = np.arange(1, m + 1)
-    table[np.array(values) % m] = values
-    return m, table
 
 
 def _gcd_tables(groups, top: int) -> tuple[np.ndarray, dict]:
@@ -208,96 +198,152 @@ def _n_combos(groups, params) -> int:
     return prod(comb(len(groups[gi].values) + k - 1, k) for gi, k in Counter(params).items())
 
 
-def _scan(args) -> list[tuple[int, ...]]:
-    """Float-prefilter one share of a sweep, every `parts`-th head from
-    `part` on, and return the surviving live rows as element tuples."""
-    sweep, part, parts = args
-    groups, solved = sweep.groups, sweep.solved
-    owner = [gi for gi, g in enumerate(groups) for _ in range(g.count)]  # group of each parameter
-    # the Python loop takes the fewest leading parameters that leave at most
-    # TAIL_ROWS tail rows, unless that makes more heads; then the most that do not
-    cut = min(c for c in range(len(owner) + 1) if _n_combos(groups, owner[c:]) <= TAIL_ROWS)
-    if _n_combos(groups, owner[:cut]) > TAIL_ROWS:
-        cut = max(c for c in range(len(owner) + 1) if _n_combos(groups, owner[:c]) <= TAIL_ROWS)
-    head, tail = owner[:cut], owner[cut:]
-    # the tail's index columns: the product of its groups' combinations,
-    # first group major, so the rows are sorted by their first index
-    tail_idx, rows = [], 1
-    for gi, k in Counter(tail).items():
+def _index_rows(groups, params) -> tuple[list[np.ndarray], int]:
+    """(columns, rows) of every index combination of the parameters, first
+    group major, so sorted by the first column (one row for none)."""
+    cols, rows = [], 1
+    for gi, k in Counter(params).items():
         c = _combos(len(groups[gi].values), k)
         new = c if rows == 1 else np.tile(c, (rows, 1))
-        tail_idx = [np.repeat(i, len(c)) for i in tail_idx] + list(new.T)
+        cols = [np.repeat(i, len(c)) for i in cols] + list(new.T)
         rows *= len(c)
+    return cols, rows
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _scan(args) -> np.ndarray:
+    """Float-prefilter one share of a sweep: its surviving live rows.
+
+    The tail's index rows are sorted by the key sum*n + first index (n
+    values in its first group) if the row sums to zero, else by first
+    index.  A Python loop runs over the leading head parameters, every
+    `parts`-th combination from `part` on, the others forming numpy
+    blocks, and each head takes one searchsorted range of tail rows: sum
+    -(head sum) if the row sums to zero, first index from the head's last
+    on if both are of one group.  So each multiset is reached once."""
+    sweep, part, parts = args
+    groups, solved, test = sweep.groups, sweep.solved, sweep.test
+    owner = [gi for gi, g in enumerate(groups) for _ in range(g.count)]  # group of each parameter
+    sum_zero = isinstance(solved, tuple)
+    if sum_zero:
+        # a last element confined to a support is one more parameter, of the last
+        # group if that group is the support; the split balances heads and tail rows
+        if groups[-1] != _Group(solved, groups[-1].count):
+            groups += (_Group(solved, 1),)
+        owner.append(len(groups) - 1)
+        size = lambda c: _n_combos(groups, owner[:c]) + _n_combos(groups, owner[c:])  # noqa: E731
+        cut, lead = min(range(1, len(owner)), key=lambda c: (size(c), -c)), 1
+    else:
+        # the Python loop takes the fewest leading parameters that leave at most
+        # TAIL_ROWS tail rows, unless that makes more heads; then the most that do not
+        cut = min(c for c in range(len(owner) + 1) if _n_combos(groups, owner[c:]) <= TAIL_ROWS)
+        if _n_combos(groups, owner[:cut]) > TAIL_ROWS:
+            cut = max(c for c in range(len(owner) + 1) if _n_combos(groups, owner[:c]) <= TAIL_ROWS)
+        lead = cut
+    block, tail = owner[lead:cut], owner[cut:]
     vals = [np.array(g.values) for g in groups]
     tables = {pair: _cross(groups[pair[0]], groups[pair[1]]) for pair in set(combinations(owner, 2))}
-    tail_sum = np.zeros(rows, dtype=np.int64)
-    for gi, i in zip(tail, tail_idx):
-        tail_sum += sum(groups[gi].mults) * vals[gi][i]
-    tail_inner = np.zeros(rows)
-    for q, r in combinations(range(len(tail)), 2):
-        tail_inner += tables[tail[q], tail[r]][tail_idx[q], tail_idx[r]]
+
+    def sums(params, cols):
+        """Element sums and, for a float test, inner cross terms of rows (scalars for none)."""
+        rows = len(cols[0]) if cols else ()
+        total, inner = np.zeros(rows, dtype=np.int64)[()], np.zeros(rows)[()]
+        for gi, i in zip(params, cols):
+            total += sum(groups[gi].mults) * vals[gi][i]
+        for q, r in combinations(range(len(params)) if test else (), 2):
+            inner += tables[params[q], params[r]][cols[q], cols[r]]
+        return total, inner
+
+    block_idx, rows = _index_rows(groups, block)
+    after = 0 < lead < cut and owner[lead - 1] == owner[lead]  # block indices from the prefix's last on
+    n = len(vals[tail[0]])
+    shared = cut > 0 and owner[cut - 1] == tail[0]
     const = sweep.length / 2
     const += sum(gcd(m, mm) ** 2 / (m * mm) for gi in owner for m, mm in combinations(groups[gi].mults, 2))
-    member = _member_table(solved) if isinstance(solved, tuple) else None
-    # a free solved element e takes gcd(x, e) with every other element x;
-    # when each x divides the largest, top, and the sweep has at least top
-    # rows, those come from tables indexed by e % top (_gcd_tables)
+    # a free solved element e takes gcd(x, e) with each other element x, from
+    # tables (_gcd_tables) if every x divides the largest, top, and rows >= top
     elements = [m * v for g in groups for m in g.mults for v in g.values]
     top = max(map(abs, elements))
-    gcds = None
-    if solved is True and _n_combos(groups, owner) >= top and all(top % x == 0 for x in elements):
-        gcds = _gcd_tables(groups, top)
-    op, target = sweep.test or ("le", np.inf)
-    segments = [combinations_with_replacement(range(len(vals[g])), k) for g, k in Counter(head).items()]
-    out = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for h in islice(product(*segments), part, None, parts):
-            hi = sum(h, ())
-            hv = [groups[gi].values[i] for gi, i in zip(head, hi)]
-            hsum = sum(sum(groups[gi].mults) * v for gi, v in zip(head, hv))
-            base = const + sum(tables[head[p], head[r]][hi[p], hi[r]] for p, r in combinations(range(cut), 2))
-            against = [(tables[gp, gq][i], q) for gp, i in zip(head, hi) for q, gq in enumerate(tail)]
-            start = int(np.searchsorted(tail_idx[0], hi[-1])) if head and tail and head[-1] == tail[0] else 0
-            for lo in range(start, rows, CHUNK):
-                ci = [i[lo : lo + CHUNK] for i in tail_idx]
-                total = base + tail_inner[lo : lo + CHUNK]
-                if solved is not False:
-                    e = -(hsum + tail_sum[lo : lo + CHUNK])
-                    if member is not None:
-                        sel = np.nonzero(member[1][e % member[0]] == e)[0]
-                        if not len(sel):
-                            continue
-                        ci, total, e = [i[sel] for i in ci], total[sel], e[sel]
-                for row, q in against:
-                    total += row[ci[q]]
-                tv = [vals[gi][i] for gi, i in zip(tail, ci)]
-                cols = [m * v for gi, v in zip(head, hv) for m in groups[gi].mults]
-                cols += [v if m == 1 else m * v for gi, v in zip(tail, tv) for m in groups[gi].mults]
-                if solved is not False:
-                    against_e = 0.0
-                    if gcds is None:
-                        for x in cols:
-                            g = np.gcd(x, e).astype(np.float64)
-                            against_e = against_e + g * g / x
+    gcds = solved is True and _n_combos(groups, owner) >= top and all(top % x == 0 for x in elements)
+    slot, tabs = _gcd_tables(groups, top) if gcds else (None, None)
+    out = [np.empty((0, sweep.length), dtype=np.int64)]
+    # the tail goes TAIL_ROWS rows at a time unless the heads outnumber it
+    # (each part takes every head)
+    all_tail, tail_rows = _index_rows(groups, tail)
+    step = tail_rows if _n_combos(groups, owner[:cut]) >= tail_rows else TAIL_ROWS
+    for t0 in range(0, tail_rows, step):
+        tail_idx = [i[t0 : t0 + step] for i in all_tail]
+        if sum_zero:  # in the order of the key, in place
+            order = np.argsort(sums(tail, tail_idx)[0] * n + (tail_idx[0] if shared else 0), kind="stable")
+            for i in tail_idx:
+                i[:] = i[order]
+            del order
+        else:  # at most TAIL_ROWS rows, read in every chunk: in numpy's index type
+            tail_idx = [i.astype(np.intp) for i in tail_idx]
+        key, tail_inner = sums(tail, tail_idx)
+        key *= n if sum_zero else 0
+        key += tail_idx[0] if shared else 0
+        starts = [] if sum_zero else np.searchsorted(key, np.arange(n)).tolist()
+        segments = [combinations_with_replacement(range(len(vals[g])), k) for g, k in Counter(owner[:lead]).items()]
+        for hi in islice(product(*segments), part, None, parts):
+            hi = sum(hi, ())
+            psum = sum(sum(groups[gi].mults) * groups[gi].values[i] for gi, i in zip(owner, hi))
+            # the rows of the cross-term and gcd tables that the leading parameters pick
+            against = [(tables[owner[q], gq][hi[q]], r) for q in range(lead) for r, gq in enumerate(tail)]
+            erows = [tabs[gi, m][i] for gi, i in zip(owner, hi) for m in groups[gi].mults] if gcds else []
+            for s in range(int(np.searchsorted(block_idx[0], hi[-1])) if after else 0, rows, CHUNK):
+                head = list(hi) + [i[s : s + CHUNK] for i in block_idx]
+                hsum, base = sums(block, head[lead:])
+                base += const + sum(tables[owner[q], owner[r]][head[q]][head[r]] for q, r in combinations(range(cut), 2) if q < lead)
+                if sum_zero:  # for each head, the tail rows of sum -(head sum)
+                    at = (hsum + psum) * -n
+                    lo = np.searchsorted(key, at + (head[-1] if shared else 0))
+                    stop = np.searchsorted(key, at + n)
+                    ends = np.cumsum(stop - lo)
+                else:  # one head, and the tail rows from its last index on
+                    lo = starts[head[-1]] if shared else 0
+                    ends = [len(key) - lo]
+                for c0 in range(0, int(ends[-1]), CHUNK):
+                    c1 = min(c0 + CHUNK, int(ends[-1]))
+                    if np.ndim(lo) == 0:  # one head: its hits are a slice of the tail
+                        h, t = (), slice(lo + c0, lo + c1)
                     else:
-                        slot, tabs = gcds
-                        k = slot[e % top]
-                        for gi, i in chain(zip(head, hi), zip(tail, ci)):
-                            for m in groups[gi].mults:
-                                against_e = against_e + tabs[gi, m][i, k]
-                    total += against_e / e
-                    cols.append(e)
-                nrm = total / 6
-                hit = np.abs(nrm - target) < FLOAT_TOL if op == "eq" else nrm <= target + FLOAT_TOL
-                if hit.any():
-                    found = np.column_stack([np.broadcast_to(x, hit.shape)[hit] for x in cols])
-                    out.extend(map(tuple, found[_live_rows(found)].tolist()))
-    return out
+                        k = np.arange(c0, c1)
+                        h = np.searchsorted(ends, k, side="right")
+                        t = stop[h] - ends[h] + k
+                    hc = list(hi) + [i[h].astype(np.intp) for i in head[lead:]]
+                    ci = [i[t].astype(np.intp, copy=False) for i in tail_idx]
+                    cols = [v if m == 1 else m * v for gi, i in zip(owner, hc + ci) for v in [vals[gi][i]] for m in groups[gi].mults]
+                    if solved is True:
+                        cols.append(-sum(cols))
+                    hit = slice(None)
+                    if test:
+                        total = base[h] + tail_inner[t]
+                        for row, r in against:
+                            total += row[ci[r]]
+                        for q, r in product(range(lead, cut), range(len(tail))):
+                            total += tables[owner[q], tail[r]][hc[q], ci[r]]
+                        if solved is True:  # the terms of e
+                            e = cols[-1]
+                            if gcds:
+                                k = slot[e % top]
+                                terms = [row[k] for row in erows]
+                                terms += [tabs[gi, m][i, k] for gi, i in zip(owner[lead:], hc[lead:] + ci) for m in groups[gi].mults]
+                            else:
+                                terms = [np.gcd(x, e).astype(np.float64) ** 2 / x for x in cols[:-1]]
+                            total += sum(terms) / e
+                        nrm = total / 6
+                        hit = np.abs(nrm - test[1]) < FLOAT_TOL if test[0] == "eq" else nrm <= test[1] + FLOAT_TOL
+                        if not hit.any():
+                            continue
+                    found = np.column_stack([np.broadcast_to(x, (c1 - c0,))[hit] for x in cols])
+                    out.append(found[_live_rows(found)])
+    return np.concatenate(out)
 
 
-def _sweep(sweep: _Sweep, keep, jobs: int = 1) -> list[SignedList]:
-    """Float-prefilter every row of a sweep, sharding the head loop over
-    `jobs` processes, and confirm the survivors exactly.  First prove the
+def _rows(sweep: _Sweep, jobs: int = 1) -> np.ndarray:
+    """Every row of a sweep that passes the float test and _live_rows, with
+    _scan's prefix loop sharded over `jobs` processes.  First prove the
     float test sound: elements exact in float64 (the solved one is at most
     `length` times the largest), and the error bound plus the roundings of
     the target t and of t + FLOAT_TOL, 2u(1 + |t|), below FLOAT_TOL."""
@@ -307,17 +353,16 @@ def _sweep(sweep: _Sweep, keep, jobs: int = 1) -> list[SignedList]:
     if length * biggest >= 2**53 or not bound < FLOAT_TOL:
         raise ArithmeticError(f"float prefilter bound {bound:.2e} is not below FLOAT_TOL {FLOAT_TOL:.2e}")
     if jobs <= 1:
-        rows = _scan((sweep, 0, 1))
-    else:
-        with Pool(jobs) as pool:
-            rows = [r for share in pool.map(_scan, [(sweep, s, jobs) for s in range(jobs)]) for r in share]
-    return _confirm(rows, keep)
+        return _scan((sweep, 0, 1))
+    with Pool(jobs) as pool:
+        return np.concatenate(pool.map(_scan, [(sweep, s, jobs) for s in range(jobs)]))
 
 
-def _confirm(rows, keep) -> list[SignedList]:
-    """The exact step: build each distinct candidate once, in sorted order,
-    and keep the lists passing `keep` (engine rows have passed _live_rows)."""
-    return [a for a in map(make_list, sorted(set(rows))) if keep(a)]
+def _confirm(sweep: _Sweep, keep, jobs: int = 1) -> list[SignedList]:
+    """The exact step: build each distinct row of the sweep (_rows) once,
+    in sorted order, and keep the lists passing `keep`."""
+    rows = sorted(set(map(tuple, _rows(sweep, jobs).tolist())))
+    return [a for a in map(make_list, rows) if keep(a)]
 
 
 def _is_quarter(a: SignedList) -> bool:
@@ -335,7 +380,7 @@ def family_search_5(a_bound: int = 108, b_bound: int = 72) -> list[SignedList]:
     norm-1/4 member of this family to |a| <= 108, |b| <= 72.
     """
     sweep = _Sweep((_Group(_box(a_bound), 1, (1, -2)), _Group(_box(b_bound), 1, (1, -3))), QUARTER_TEST, True)
-    return _dedup(_sweep(sweep, lambda a: _is_quarter(a) and family_membership(a) == "sporadic"))
+    return _dedup(_confirm(sweep, lambda a: _is_quarter(a) and family_membership(a) == "sporadic"))
 
 
 def divisor_sweep_5(modulus: int | None = None, jobs: int = 1) -> list[SignedList]:
@@ -348,37 +393,36 @@ def divisor_sweep_5(modulus: int | None = None, jobs: int = 1) -> list[SignedLis
     if modulus is None:
         modulus = PRESET_MODULI["length5_sum0_four_elements"]
     sweep = _Sweep((_Group(_signed_divisors(modulus), 4),), QUARTER_TEST, True)
-    return _dedup(_sweep(sweep, _is_quarter, jobs))
+    return _dedup(_confirm(sweep, _is_quarter, jobs))
 
 
 # ---------------------------------------------------------------------------
-# generic sum-zero sweep over a divisor support (lengths 3, 5, 7)
+# generic sum-zero sweep over a divisor support (lengths 2..7)
 
 
-def sum_zero_divisor_lists(modulus: int, length: int) -> list[SignedList]:
+def sum_zero_divisor_lists(modulus: int, length: int, test=None, jobs: int = 1) -> list[SignedList]:
     """Every primitive non-degenerate sum-zero list of the given length
     with all elements dividing the modulus, deduplicated up to
-    permutation and global sign flip, in canonical_pair_key order."""
+    permutation and global sign flip, in canonical_pair_key order; a
+    float `test` (as in _Sweep) prunes.  Up to length 4 the lists come
+    from _confirm and _dedup, each multiset in support order.  From
+    length 5 on, of each multiset and its negation the one whose sorted
+    tuple is smaller is kept and becomes a SignedList directly."""
     if length < 2 or length > 7:
         raise ValueError("supported lengths: 2..7")
     vals = _signed_divisors(modulus)
+    sweep = _Sweep((_Group(vals, length - 1),), test, vals)
     if length <= 4:
-        pos = {v: idx for idx, v in enumerate(vals)}
-        raw = set()
-        for combo in combinations_with_replacement(range(len(vals)), length - 1):
-            last = -sum(vals[i] for i in combo)
-            j = pos.get(last)
-            if j is not None and j >= combo[-1]:
-                raw.add(tuple(vals[i] for i in combo) + (last,))
-        return _dedup(_confirm(raw, lambda a: a.length == length and a.is_primitive()))
-    rows = _sum_zero_vectorised(vals, length)
-    if rows.shape[1] != length:
-        return []  # length 6: the kernel builds 7-element rows only
+        return _dedup(_confirm(sweep, lambda a: True, jobs))
+    rows = _rows(sweep, jobs)
+    rows.sort(axis=1)
+    rows = rows[_lex_less(rows, -rows[:, ::-1])]
     # each row and its negation in SignedList order, ascending |v| and
     # negative first; the smaller of the two is the canonical_pair_key
     els, neg = _canonical_order(rows), _canonical_order(-rows)
     keys = np.where(_lex_less(els, neg)[:, None], els, neg)
-    return [SignedList(t) for t in els[np.lexsort(keys.T[::-1])].tolist()]
+    els = els[np.lexsort(keys.T[::-1])]
+    return [SignedList(t) for c in range(0, len(els), CHUNK) for t in els[c : c + CHUNK].tolist()]
 
 
 def _canonical_order(rows: np.ndarray) -> np.ndarray:
@@ -393,60 +437,6 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.take_along_axis(a, first, axis=1)[:, 0] < np.take_along_axis(b, first, axis=1)[:, 0]
 
 
-def _sum_zero_vectorised(vals, length) -> np.ndarray:
-    """Sum-zero rows over the support `vals` for lengths 5 and 7.
-
-    A row is a head (one support index for length 5, three otherwise),
-    a tail of three indices from the head's last on, and a last element
-    solved from the zero sum, kept if it lies in the support at an index
-    no smaller than the tail's last, so each multiset is reached once.
-    Heads that share a last index share their tail slice and run as one
-    2-D block of about CHUNK cells.
-
-    Returns one row per +- pair of primitive non-degenerate multisets,
-    sorted numerically: a row is kept only if it is lexicographically
-    smaller than its negation -row[::-1], which the symmetric support
-    also reaches.  This is the member of the pair that comes first in
-    sorted order.
-    """
-    n = len(vals)
-    maxabs = abs(vals[-1])
-    v = np.array(vals, dtype=np.int64)
-    tails = _combos(n, 3)
-    tsums = v[tails].sum(axis=1)
-    offsets = np.searchsorted(tails[:, 0], np.arange(n))
-    # support index over the reachable range of the solved element, -1 off it
-    span = length * maxabs
-    index = np.full(2 * span + 1, -1, dtype=np.min_scalar_type(-n))
-    index[v + span] = np.arange(n)
-    heads = np.arange(n)[:, None] if length == 5 else tails
-    hsums = v[heads].sum(axis=1)
-    last = heads[:, -1]
-    # skip heads whose every tail leaves a solved element beyond maxabs
-    suf_min = np.minimum.accumulate(tsums[::-1])[::-1][offsets[last]]
-    suf_max = np.maximum.accumulate(tsums[::-1])[::-1][offsets[last]]
-    live = (hsums + suf_min <= maxabs) & (hsums + suf_max >= -maxabs)
-    out = [np.empty((0, heads.shape[1] + 4), dtype=np.int64)]
-    for c in range(n):
-        hs = np.nonzero(live & (last == c))[0]
-        o = offsets[c]
-        shifted, t3 = span - tsums[o:], tails[o:, 2]
-        step = max(1, CHUNK // len(t3))
-        hit_h, hit_t = [], []
-        for b in range(0, len(hs), step):
-            block = hs[b : b + step]
-            h, t = np.nonzero(index[shifted - hsums[block, None]] >= t3)
-            hit_h.append(block[h])
-            hit_t.append(t + o)
-        if not hit_h:
-            continue
-        hh, tt = np.concatenate(hit_h), np.concatenate(hit_t)
-        rows = np.concatenate([v[heads[hh]], v[tails[tt]], -(hsums[hh] + tsums[tt])[:, None]], axis=1)
-        rows = np.sort(rows[_live_rows(rows)], axis=1)
-        out.append(rows[_lex_less(rows, -rows[:, ::-1])])
-    return np.concatenate(out)
-
-
 # ---------------------------------------------------------------------------
 # length 7
 
@@ -456,7 +446,7 @@ def _type_a_sweep_7(jobs: int = 1) -> list[SignedList]:
     2^6*3^2*5^2*7^2 (the at-most-7-separated sum-zero support)."""
     M = PRESET_MODULI["type_a_sum0_length7"]
     sweep = _Sweep((_Group(_signed_divisors(M // 2), 3, (1, -2)),), QUARTER_TEST, _signed_divisors(M))
-    return _dedup(_sweep(sweep, _is_quarter, jobs))
+    return _dedup(_confirm(sweep, _is_quarter, jobs))
 
 
 def _type_a3_sweep_7(jobs: int = 1) -> list[SignedList]:
@@ -464,14 +454,14 @@ def _type_a3_sweep_7(jobs: int = 1) -> list[SignedList]:
     (the plain at-most-5-separated support; sound but not sharp)."""
     M = 2**12 * 3**6 * 5**6
     groups = (_Group(_signed_divisors(M // 2), 2, (1, -2)), _Group(_signed_divisors(M // 3), 1, (1, -3)))
-    return _dedup(_sweep(_Sweep(groups, QUARTER_TEST, _signed_divisors(M)), _is_quarter, jobs))
+    return _dedup(_confirm(_Sweep(groups, QUARTER_TEST, _signed_divisors(M)), _is_quarter, jobs))
 
 
-def _type_b_sweep_7() -> list[SignedList]:
+def _type_b_sweep_7(jobs: int = 1) -> list[SignedList]:
     """Sum-zero sweep over divisors of 2^10*3^5 (the at-most-4-separated
     support for non-pairable lists), keeping norm-1/4 results."""
     M = PRESET_MODULI["type_b_length7_at_most_4_separated"]
-    return list(filter(_is_quarter, sum_zero_divisor_lists(M, 7)))
+    return list(filter(_is_quarter, sum_zero_divisor_lists(M, 7, QUARTER_TEST, jobs)))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +473,7 @@ def _type_a_sweep_9(jobs: int = 1) -> list[SignedList]:
     2^16*3^8 (the plain at-most-4-separated support for length 9)."""
     M = 2**16 * 3**8
     sweep = _Sweep((_Group(_signed_divisors(M // 2), 4, (1, -2)),), QUARTER_TEST, _signed_divisors(M))
-    return _dedup(_sweep(sweep, _is_quarter, jobs))
+    return _dedup(_confirm(sweep, _is_quarter, jobs))
 
 
 def _combine_sweep_9() -> list[SignedList]:
@@ -570,7 +560,7 @@ def classify_length(n: int, jobs: int = 1) -> Catalog:
             "sweep over divisors of 2^6*3^3*5^3 with forced fifth element"
         )
     elif n == 7:
-        found = _type_a_sweep_7(jobs) + _type_a3_sweep_7(jobs) + _type_b_sweep_7()
+        found = _type_a_sweep_7(jobs) + _type_a3_sweep_7(jobs) + _type_b_sweep_7(jobs)
         note = (
             "pairable sweep over divisors of 2^6*3^2*5^2*7^2, the (c,-3c) "
             "variant over divisors of 2^12*3^6*5^6, and a sum-zero sweep "
@@ -597,7 +587,7 @@ def _below(threshold: Fraction, shapes, keep) -> list[SignedList]:
     """The lists passing `keep` in the sweeps over each groups tuple in
     `shapes`, with the float test <= threshold, deduplicated."""
     test = ("le", float(threshold))
-    return _dedup(a for groups in shapes for a in _sweep(_Sweep(groups, test), keep))
+    return _dedup(a for groups in shapes for a in _confirm(_Sweep(groups, test), keep))
 
 
 def _small_norm_3(threshold: Fraction) -> list[SignedList]:
@@ -796,7 +786,7 @@ def enumerate_lists(spec: SearchSpec):
             return nv < spec.norm_threshold if spec.strict else nv <= spec.norm_threshold
         return True
 
-    found = {a.elements: a for a in _sweep(_Sweep((_Group(vals, count),), test, solved), keep)}
+    found = {a.elements: a for a in _confirm(_Sweep((_Group(vals, count),), test, solved), keep)}
     for elements in sorted(found, key=lambda els: [(abs(v), v > 0) for v in els]):
         yield found[elements], norm(found[elements])
 

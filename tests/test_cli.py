@@ -87,6 +87,20 @@ def test_liouville_probe(capsys):
     assert data["ratio"] >= 1.0
 
 
+def test_liouville_unfactored_n_is_usage_error(capsys):
+    # 10^18 + 3 has no factor up to 10^6, and is above 10^12
+    code = run(["liouville", "--N", "1000000000000000003"])
+    assert code == 2
+    assert "not certified prime" in capsys.readouterr().err
+
+
+def test_liouville_divisor_cap_is_usage_error(capsys):
+    # the product of the primes up to 41 has 2^13 divisors
+    code = run(["liouville", "--N", "304250263527210"])
+    assert code == 2
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
 def test_liouville_needs_exactly_one_mode():
     with pytest.raises(SystemExit) as exc:
         run(["liouville"])

@@ -227,10 +227,12 @@ def _sum_zero_reference(modulus, length, order):
     "modulus, length, order",
     [
         # lengths <= 4 write each multiset in support order (|v|, then sign),
-        # the vectorised lengths 5..7 in numeric order
+        # lengths 5..7 in numeric order
         (60, 4, lambda v: (abs(v), v > 0)),
         (72, 5, None),
         (120, 5, None),
+        (30, 6, None),
+        (72, 6, None),
         (12, 7, None),
         (18, 7, None),
         (30, 7, None),
@@ -241,14 +243,36 @@ def test_sum_zero_divisor_lists_representatives(modulus, length, order):
     assert ours == _sum_zero_reference(modulus, length, order)
 
 
-@pytest.mark.parametrize("modulus, length", [(72, 5), (120, 5), (12, 7), (30, 7)])
+@pytest.mark.parametrize("modulus, length", [(72, 5), (120, 5), (30, 6), (12, 7), (30, 7)])
 def test_sum_zero_divisor_lists_are_canonical(modulus, length):
-    # lengths 5 and 7 build their SignedLists without make_list
+    # lengths 5..7 build their SignedLists without make_list
     lists = sum_zero_divisor_lists(modulus, length)
     assert lists
     for a in lists:
         assert a == make_list(a.elements)
         assert all(type(v) is int for v in a.elements)
+
+
+def test_sum_zero_join_two_groups():
+    # [a,-2a,b,-2b,c,-2c,d] with a, b, c among the divisors of 18 and d,
+    # solved from the zero sum, among the divisors of 36: the join picks d
+    # as a parameter of a second group.  The support of a, b, c runs from
+    # large |v| to small, so the last head block, a = -1, holds the list
+    # [-1,2,-1,2,-1,2,-3], which comes before its negation in sorted order
+    # and so is the representative.
+    import ratio_lab.search as search
+
+    support = tuple(v for d in (18, 9, 6, 3, 2, 1) for v in (d, -d))
+    solved = tuple(_signed_divisors(36))
+    sweep = search._Sweep((search._Group(support, 3, (1, -2)),), None, solved)
+    triples = combinations_with_replacement(support, 3)
+    cands = [(a, -2 * a, b, -2 * b, c, -2 * c, a + b + c) for a, b, c in triples if a + b + c in solved]
+    # each multiset is reached once, as its tuple in support order
+    live = [t for t in cands if make_list(t).length == 7 and make_list(t).is_primitive()]
+    assert sorted(map(tuple, search._rows(sweep).tolist())) == sorted(live)
+    ref = _first_per_key(cands)
+    assert (-1, -1, -1, 2, 2, 2, -3) in ref
+    assert [a.elements for a in search._dedup(search._confirm(sweep, lambda a: True))] == ref
 
 
 def _support_order(v):
@@ -287,6 +311,12 @@ def test_divisor_sweep_jobs_invariant():
     one = keys(divisor_sweep_5(modulus=360))
     two = keys(divisor_sweep_5(modulus=360, jobs=2))
     assert one == two and one
+
+
+def test_sum_zero_join_jobs_invariant():
+    # the join shards its loop over the first head parameter
+    one = [a.elements for a in sum_zero_divisor_lists(720, 7)]
+    assert [a.elements for a in sum_zero_divisor_lists(720, 7, jobs=2)] == one and one
 
 
 def test_golden_catalogs_load_and_verify():

@@ -1,4 +1,5 @@
-"""Time the sum-zero enumeration and the classification sweeps on fixed inputs.
+"""Time the sum-zero enumeration and the classification and small-norm
+sweeps on fixed inputs.
 
     python3 bench/layers.py
 
@@ -18,6 +19,7 @@ import platform
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from statistics import median
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -30,6 +32,8 @@ from ratio_lab.search import (  # noqa: E402
     _type_a_sweep_9,
     _type_b_sweep_7,
     divisor_sweep_5,
+    family_search_5,
+    small_norm_catalog,
     sum_zero_divisor_lists,
 )
 
@@ -43,6 +47,11 @@ CALLS = {
     "_type_b_sweep_7()": lambda: _type_b_sweep_7(),
     "_type_a3_sweep_7()": lambda: _type_a3_sweep_7(),
     "_type_a_sweep_9()": lambda: _type_a_sweep_9(),
+    "family_search_5()": lambda: family_search_5(),
+    "small_norm_catalog(4, 11/60)": lambda: small_norm_catalog(4, Fraction(11, 60)),
+    "small_norm_catalog(5, 31/168)": lambda: small_norm_catalog(5, Fraction(31, 168)),
+    "small_norm_catalog(7, 5/24)": lambda: small_norm_catalog(7, Fraction(5, 24)),
+    "small_norm_catalog(8, 8/45)": lambda: small_norm_catalog(8, Fraction(8, 45)),
 }
 RUNS = 3
 

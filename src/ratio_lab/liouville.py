@@ -34,13 +34,13 @@ __all__ = [
 ]
 
 
-def _factorize(n: int, bound: int = 10**6) -> list[tuple[int, int]]:
-    """Trial division by the integers up to `bound`.  A cofactor left below
-    bound^2 is prime; a larger one cannot be certified prime without
-    searching past the bound, and raises ValueError."""
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """Trial division by the integers up to 10^6.  A cofactor left below
+    10^12 is prime; a larger one cannot be certified prime without
+    searching past 10^6, and raises ValueError."""
     out = []
     p = 2
-    while p * p <= n and p <= bound:
+    while p * p <= n and p <= 10**6:
         if n % p == 0:
             k = 0
             while n % p == 0:
@@ -49,7 +49,7 @@ def _factorize(n: int, bound: int = 10**6) -> list[tuple[int, int]]:
             out.append((p, k))
         p += 1 if p == 2 else 2
     if p * p <= n:
-        raise ValueError(f"trial division to {bound} leaves a cofactor {n} above {bound}^2, not certified prime")
+        raise ValueError(f"trial division to 10^6 leaves a cofactor {n} above 10^12, not certified prime")
     if n > 1:
         out.append((n, 1))
     return out
@@ -62,16 +62,16 @@ class LiouvilleList:
     d_of_N: int
 
 
-def build_liouville(N: int, max_divisors: int = 4096) -> LiouvilleList:
+def build_liouville(N: int) -> LiouvilleList:
     """The list {lambda(d) d : d | N}, canonical order.  Raises ValueError
-    when d(N) exceeds `max_divisors`, as the exact norm of the list takes
+    when d(N) exceeds 4096, as the exact norm of the list takes
     d(N)(d(N) - 1)/2 gcds, 8.4 million at the cap."""
     if N < 1:
         raise ValueError("N must be positive")
     factors = _factorize(N)
     d = prod(k + 1 for _, k in factors)
-    if d > max_divisors:
-        raise ValueError(f"d(N) = {d} exceeds the cap of {max_divisors} divisors")
+    if d > 4096:
+        raise ValueError(f"d(N) = {d} exceeds the cap of 4096 divisors")
     elements = [1]
     for p, k in factors:
         elements = [
@@ -124,9 +124,5 @@ def asymptotic_ratio_probe(k: int) -> tuple[Fraction, Fraction]:
     trace rather than asserting closeness.
     """
     N = n_sub_k(k)
-    upper = liouville_norm_formula(N)
-    d = 1
-    for _, e in _factorize(N):
-        d *= e + 1
-    lower = mertens_product_bound(d)
-    return upper, lower
+    d = prod(e + 1 for _, e in _factorize(N))
+    return liouville_norm_formula(N), mertens_product_bound(d)

@@ -220,7 +220,10 @@ def _scan(args) -> np.ndarray:
     `parts`-th combination from `part` on, the others forming numpy
     blocks, and each head takes one searchsorted range of tail rows: sum
     -(head sum) if the row sums to zero, first index from the head's last
-    on if both are of one group.  So each multiset is reached once."""
+    on if both are of one group.  So each multiset is reached once.  Other
+    sweeps than sum-zero ones hit every tail row: there the loop takes one
+    head at a time, whose hits are a slice of the tail, as gathering them
+    in blocks made them up to 3.4 times slower (BENCH_layers.json)."""
     sweep, part, parts = args
     groups, solved, test = sweep.groups, sweep.solved, sweep.test
     owner = [gi for gi, g in enumerate(groups) for _ in range(g.count)]  # group of each parameter
@@ -232,7 +235,7 @@ def _scan(args) -> np.ndarray:
             groups += (_Group(solved, 1),)
         owner.append(len(groups) - 1)
         size = lambda c: _n_combos(groups, owner[:c]) + _n_combos(groups, owner[c:])  # noqa: E731
-        cut, lead = min(range(1, len(owner)), key=lambda c: (size(c), -c)), 1
+        cut, lead = min(range(1, max(2, len(owner))), key=lambda c: (size(c), -c)), 1
     else:
         # the Python loop takes the fewest leading parameters that leave at most
         # TAIL_ROWS tail rows, unless that makes more heads; then the most that do not
@@ -245,9 +248,9 @@ def _scan(args) -> np.ndarray:
     tables = {pair: _cross(groups[pair[0]], groups[pair[1]]) for pair in set(combinations(owner, 2))}
 
     def sums(params, cols):
-        """Element sums and, for a float test, inner cross terms of rows (scalars for none)."""
-        rows = len(cols[0]) if cols else ()
-        total, inner = np.zeros(rows, dtype=np.int64)[()], np.zeros(rows)[()]
+        """Element sums and, for a float test, inner cross terms of rows (one row for none)."""
+        rows = len(cols[0]) if cols else 1
+        total, inner = np.zeros(rows, dtype=np.int64), np.zeros(rows)
         for gi, i in zip(params, cols):
             total += sum(groups[gi].mults) * vals[gi][i]
         for q, r in combinations(range(len(params)) if test else (), 2):
@@ -256,8 +259,8 @@ def _scan(args) -> np.ndarray:
 
     block_idx, rows = _index_rows(groups, block)
     after = 0 < lead < cut and owner[lead - 1] == owner[lead]  # block indices from the prefix's last on
-    n = len(vals[tail[0]])
-    shared = cut > 0 and owner[cut - 1] == tail[0]
+    shared = 0 < cut < len(owner) and owner[cut - 1] == owner[cut]
+    n = len(vals[tail[0]]) if tail else 1
     const = sweep.length / 2
     const += sum(gcd(m, mm) ** 2 / (m * mm) for gi in owner for m, mm in combinations(groups[gi].mults, 2))
     # a free solved element e takes gcd(x, e) with each other element x, from
@@ -283,7 +286,6 @@ def _scan(args) -> np.ndarray:
         key, tail_inner = sums(tail, tail_idx)
         key *= n if sum_zero else 0
         key += tail_idx[0] if shared else 0
-        starts = [] if sum_zero else np.searchsorted(key, np.arange(n)).tolist()
         segments = [combinations_with_replacement(range(len(vals[g])), k) for g, k in Counter(owner[:lead]).items()]
         for hi in islice(product(*segments), part, None, parts):
             hi = sum(hi, ())
@@ -301,11 +303,11 @@ def _scan(args) -> np.ndarray:
                     stop = np.searchsorted(key, at + n)
                     ends = np.cumsum(stop - lo)
                 else:  # one head, and the tail rows from its last index on
-                    lo = starts[head[-1]] if shared else 0
+                    lo = int(np.searchsorted(key, head[-1])) if shared else 0
                     ends = [len(key) - lo]
                 for c0 in range(0, int(ends[-1]), CHUNK):
                     c1 = min(c0 + CHUNK, int(ends[-1]))
-                    if np.ndim(lo) == 0:  # one head: its hits are a slice of the tail
+                    if not sum_zero:  # one head: its hits are a slice of the tail
                         h, t = (), slice(lo + c0, lo + c1)
                     else:
                         k = np.arange(c0, c1)
@@ -343,14 +345,19 @@ def _scan(args) -> np.ndarray:
 
 def _rows(sweep: _Sweep, jobs: int = 1) -> np.ndarray:
     """Every row of a sweep that passes the float test and _live_rows, with
-    _scan's prefix loop sharded over `jobs` processes.  First prove the
-    float test sound: elements exact in float64 (the solved one is at most
-    `length` times the largest), and the error bound plus the roundings of
-    the target t and of t + FLOAT_TOL, 2u(1 + |t|), below FLOAT_TOL."""
-    length = sweep.length
-    biggest = max((abs(m * v) for g in sweep.groups for m in g.mults for v in g.values), default=0)
+    _scan's prefix loop sharded over `jobs` processes.  First check that
+    int64 holds a sum of length - 1 elements times n, plus n (n = 1, or
+    for a sum-zero join key the support size), and that a float test is
+    sound: elements exact in float64 (the solved one is at most `length`
+    times the largest), and the error bound plus the roundings of the
+    target t and of t + FLOAT_TOL, 2u(1 + |t|), below FLOAT_TOL."""
+    length, groups = sweep.length, sweep.groups
+    biggest = max((abs(m * v) for g in groups for m in g.mults for v in g.values), default=0)
+    n = max(map(len, [g.values for g in groups] + [sweep.solved])) if isinstance(sweep.solved, tuple) else 1
+    if ((length - 1) * biggest + 1) * n >= 2**63:
+        raise ValueError(f"row sums times {n} support values (the join key) overflow int64")
     bound = _prefilter_error(length) + 2.0**-52 * (1 + abs(sweep.test[1] if sweep.test else 0))
-    if length * biggest >= 2**53 or not bound < FLOAT_TOL:
+    if sweep.test and (length * biggest >= 2**53 or not bound < FLOAT_TOL):
         raise ArithmeticError(f"float prefilter bound {bound:.2e} is not below FLOAT_TOL {FLOAT_TOL:.2e}")
     if jobs <= 1:
         return _scan((sweep, 0, 1))
@@ -710,32 +717,29 @@ def verify_catalog(c: Catalog, golden: Catalog | None = None) -> VerifyReport:
     diff = []
     if golden is not None:
         ours, theirs = c.keys(), golden.keys()
-        for k in sorted(ours - theirs):
-            diff.append(f"extra: {list(k)}")
-        for k in sorted(theirs - ours):
-            diff.append(f"missing: {list(k)}")
+        diff = [f"extra: {list(k)}" for k in sorted(ours - theirs)]
+        diff += [f"missing: {list(k)}" for k in sorted(theirs - ours)]
     return VerifyReport(name=c.name, checked=len(c.entries), failures=tuple(failures), golden_diff=tuple(diff))
 
 
 def d2_family_probe(a_range=range(1, 6), b_range=range(1, 6)) -> dict:
     """Re-verify the two displayed D=2 families on a coprime (a, b) grid."""
     results = {"checked": 0, "integral": 0, "cases": []}
-    for a in a_range:
-        for b in b_range:
-            if a + b == 0 or gcd(a, b) != 1:
+    for a, b in product(a_range, b_range):
+        if a + b == 0 or gcd(a, b) != 1:
+            continue
+        for shape in (
+            [-a, 2 * a, -4 * a, -b, 2 * b, -4 * b, 6 * (a + b), -3 * (a + b)],
+            [3 * a, 3 * b, -a, -b, -(a + b), -(a + b)],
+        ):
+            lst = make_list(shape)
+            if lst.length != len(shape) or lst.total != 0:
                 continue
-            for shape in (
-                [-a, 2 * a, -4 * a, -b, 2 * b, -4 * b, 6 * (a + b), -3 * (a + b)],
-                [3 * a, 3 * b, -a, -b, -(a + b), -(a + b)],
-            ):
-                lst = make_list(shape)
-                if lst.length != len(shape) or lst.total != 0:
-                    continue
-                spec = RatioSpec.from_list(lst)
-                ok = spec.D == 2 and is_integral(spec)
-                results["checked"] += 1
-                results["integral"] += ok
-                results["cases"].append({"a": a, "b": b, "list": list(lst.elements), "integral": ok})
+            spec = RatioSpec.from_list(lst)
+            ok = spec.D == 2 and is_integral(spec)
+            results["checked"] += 1
+            results["integral"] += ok
+            results["cases"].append({"a": a, "b": b, "list": list(lst.elements), "integral": ok})
     return results
 
 

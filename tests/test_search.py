@@ -306,6 +306,26 @@ def test_float_prefilter_bound_is_checked(monkeypatch):
         divisor_sweep_5(60)
 
 
+def test_sweep_int64_limits():
+    import ratio_lab.search as search
+
+    # past 2^53 a float test is unsound, but a sweep without one is exact
+    support = tuple(v for d in (1, 2**54, 2**54 + 1) for v in (-d, d))
+    sweep = search._Sweep((search._Group(support, 2),), None, support)
+    assert keys(search._confirm(sweep, lambda a: True)) == {(-1, -(2**54), 2**54 + 1)}
+    with pytest.raises(ArithmeticError):
+        search._rows(search._Sweep(sweep.groups, ("le", 1.0), support))
+    # the join key, a row sum times the support size, must fit in int64
+    huge = tuple(v for d in (1, 2**61) for v in (-d, d))
+    with pytest.raises(ValueError, match="join key"):
+        search._rows(search._Sweep((search._Group(huge, 2),), None, huge))
+
+
+def test_sum_zero_enumeration_of_one_element():
+    # the solved element is the only parameter, and the zero list is rejected
+    assert list(enumerate_lists(SearchSpec(1, "sum_zero", 6))) == []
+
+
 def test_divisor_sweep_jobs_invariant():
     # tiny modulus: sharding must not change the result set
     one = keys(divisor_sweep_5(modulus=360))

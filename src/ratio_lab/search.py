@@ -223,7 +223,7 @@ def _scan(args) -> np.ndarray:
     on if both are of one group.  So each multiset is reached once.  Other
     sweeps than sum-zero ones hit every tail row: there the loop takes one
     head at a time, whose hits are a slice of the tail, as gathering them
-    in blocks made them up to 3.4 times slower (BENCH_layers.json)."""
+    in blocks made most of them 1.2-3.5 times slower (BENCH_layers.json)."""
     sweep, part, parts = args
     groups, solved, test = sweep.groups, sweep.solved, sweep.test
     owner = [gi for gi, g in enumerate(groups) for _ in range(g.count)]  # group of each parameter

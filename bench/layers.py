@@ -1,5 +1,5 @@
-"""Time the sum-zero enumeration and the classification and small-norm
-sweeps on fixed inputs.
+"""Time the sum-zero enumeration, the classification and small-norm
+sweeps and the lower-bound table on fixed inputs.
 
     python3 bench/layers.py
 
@@ -27,6 +27,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
+from ratio_lab.bounds import build_table  # noqa: E402
 from ratio_lab.search import (  # noqa: E402
     _type_a3_sweep_7,
     _type_a_sweep_9,
@@ -52,6 +53,8 @@ CALLS = {
     "small_norm_catalog(5, 31/168)": lambda: small_norm_catalog(5, Fraction(31, 168)),
     "small_norm_catalog(7, 5/24)": lambda: small_norm_catalog(7, Fraction(5, 24)),
     "small_norm_catalog(8, 8/45)": lambda: small_norm_catalog(8, Fraction(8, 45)),
+    "build_table(128, 3)": lambda: build_table(128, 3),
+    "build_table(256, 3)": lambda: build_table(256, 3),
 }
 RUNS = 3
 

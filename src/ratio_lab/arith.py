@@ -17,8 +17,34 @@ def primes_upto(limit: int) -> list[int]:
     return [p for p in range(limit + 1) if sieve[p]]
 
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """The (prime, exponent) pairs of n >= 1, ascending, by trial division
+    by the integers up to 10^6.  A cofactor left below 10^12 is prime; a
+    larger one cannot be certified prime without searching past 10^6, and
+    raises ValueError."""
+    out = []
+    p = 2
+    while p * p <= n and p <= 10**6:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out.append((p, k))
+        p += 1 if p == 2 else 2
+    if p * p <= n:
+        raise ValueError(f"trial division to 10^6 leaves a cofactor {n} above 10^12, not certified prime")
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def divisors(m: int) -> list[int]:
-    """The positive divisors of |m|, ascending (none for m = 0)."""
-    m = abs(m)
-    small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
-    return small + [m // d for d in reversed(small) if d * d != m]
+    """The positive divisors of |m|, ascending (none for m = 0), built from
+    the factorization of |m|; raises ValueError as factorize does."""
+    if m == 0:
+        return []
+    out = [1]
+    for p, k in factorize(abs(m)):
+        out = [d * p**j for d in out for j in range(k + 1)]
+    return sorted(out)

@@ -12,7 +12,14 @@ lower bounds computed by the separation recursion
 
 over 1 <= i < n and |n-2i| <= j < n with j = n mod 2, seeded with
 G_0(n) = n^2/12 and G_r(1) = 1/12; G(n) is bounded by the same shape with
-G_r(n) in the first slot and p_{r+1} as the prime.  All arithmetic exact.
+G_r(n) in the first slot and p_{r+1} as the prime, and G(n;1) by its
+least split G(i) + G(n-i).  All arithmetic exact, in O(n^2) steps per row:
+every window |n-2i| <= j < n ends at n, so the j-minimum is a suffix
+minimum over same-parity j, built once per n; min(s, (1-1/p)s + m/p) =
+(1-1/p)s + min(s, m)/p leaves one candidate per split s; and the loop over
+i works on integer numerators over one common denominator, making one
+Fraction per entry.  The G row is its own split partner, so there i stops
+at n/2: i and n-i give the same split and the same window.
 
 Landmark values: the n = 2..11 rows are
   G(n)   >= 1/12, 1/8, 1/9, 1/6, 17/108, 5/27, 37/216, 95/432, 2/9, 325/1296
@@ -24,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 from ratio_lab.arith import primes_upto
 
@@ -52,6 +61,39 @@ class BoundTable:
     g1: tuple[Fraction, ...]  # g1[n], g1[0] = g1[1] = 0 placeholders
 
 
+def _row(seed, p: int, partner=None) -> tuple[list[Fraction], list[Fraction]]:
+    """One row of the recursion with prime p over the seed row, and the
+    row of its least splits row[i] + partner[n - i] (None: the row itself).
+    own and far hold row and partner numerators over the denominator den."""
+    row, least = [Fraction(0), Fraction(1, 12)], [Fraction(0), Fraction(0)]
+    den = lcm(12, *(f.denominator for f in seed), *(f.denominator for f in partner or ()))
+    own = [0, den // 12]
+    far = own if partner is None else [f.numerator * (den // f.denominator) for f in partner]
+    for n in range(2, len(seed)):
+        # suffix[t] = min own[j] over n - 2 - 2t <= j < n, j = n mod 2; split i
+        # reads t = min(i, n - i) - 1, so j_min follows i up and back down
+        suffix = list(accumulate(own[n - 2 :: -2], min))
+        best = seed[n].numerator * (p * den // seed[n].denominator)
+        low = own[1] + far[n - 1]
+        top = n // 2 + 1 if partner is None else n
+        for a, b, j_min in zip(own[1:top], far[n - 1 : n - top : -1], suffix + suffix[n % 2 - 2 :: -1]):
+            split = a + b
+            if split < low:
+                low = split
+            # min(split, mixed) = (1 - 1/p) split + min(split, j_min) / p, times p den
+            candidate = (p - 1) * split + (split if split < j_min else j_min)
+            if candidate < best:
+                best = candidate
+        row.append(Fraction(best, p * den))
+        least.append(Fraction(low, den))
+        q = lcm(den, row[n].denominator) // den
+        if q > 1:
+            den, own = den * q, [x * q for x in own]
+            far = own if partner is None else [x * q for x in far]
+        own.append(row[n].numerator * (den // row[n].denominator))
+    return row, least
+
+
 def build_table(n_max: int, r_max: int = 3) -> BoundTable:
     """Fill the G_r / G / G(.;1) lower-bound tables up to n_max.
 
@@ -66,54 +108,11 @@ def build_table(n_max: int, r_max: int = 3) -> BoundTable:
         raise ValueError("r_max must be at least 1")
     # the k-th prime is at most k^2 + 1
     primes = primes_upto((r_max + 1) ** 2 + 1)[: r_max + 1]
-
-    gr: list[list[Fraction]] = [
-        [Fraction(n * n, 12) for n in range(n_max + 1)]
-    ]
-    gr[0][0] = Fraction(0)
-    for r in range(1, r_max + 1):
-        p = Fraction(primes[r - 1])
-        row = [Fraction(0), Fraction(1, 12)]
-        prev = gr[r - 1]
-        for n in range(2, n_max + 1):
-            best = prev[n]
-            for i in range(1, n):
-                split = row[i] + prev[n - i]
-                if split < best:
-                    best = split
-                j_min = min(row[j] for j in range(abs(n - 2 * i), n, 2))
-                mixed = (1 - 1 / p) * split + j_min / p
-                if mixed < best:
-                    best = mixed
-            row.append(best)
-        gr.append(row)
-
-    p = Fraction(primes[r_max])
-    g: list[Fraction] = [Fraction(0), Fraction(1, 12)]
-    top = gr[r_max]
-    for n in range(2, n_max + 1):
-        best = top[n]
-        for i in range(1, n):
-            split = g[i] + g[n - i]
-            if split < best:
-                best = split
-            j_min = min(g[j] for j in range(abs(n - 2 * i), n, 2))
-            mixed = (1 - 1 / p) * split + j_min / p
-            if mixed < best:
-                best = mixed
-        g.append(best)
-
-    g1: list[Fraction] = [Fraction(0), Fraction(0)]
-    for n in range(2, n_max + 1):
-        g1.append(min(g[i] + g[n - i] for i in range(1, n)))
-
-    return BoundTable(
-        n_max=n_max,
-        r_max=r_max,
-        gr=tuple(tuple(row) for row in gr),
-        g=tuple(g),
-        g1=tuple(g1),
-    )
+    gr = [[Fraction(n * n, 12) for n in range(n_max + 1)]]
+    for p in primes[:r_max]:
+        gr.append(_row(gr[-1], p, gr[-1])[0])
+    g, g1 = _row(gr[-1], primes[r_max])
+    return BoundTable(n_max, r_max, tuple(map(tuple, gr)), tuple(g), tuple(g1))
 
 
 def g1_closed_form(n: int) -> Fraction:

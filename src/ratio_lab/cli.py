@@ -9,7 +9,9 @@ types.  classify --jobs N deals the head loop of each divisor-support
 sweep (length 5, all three length-7 sweeps, length 9) out to N worker
 processes; the length-5 family scan and the length-9 recombination run
 in the main process.  Results are identical for any N from 1 to the
-number of CPUs, and other values are usage errors.
+number of CPUs, and other values are usage errors.  bounds takes
+--nmax from 2 to 1024 and --rmax from 1 to 8 (the table at 1024 and 8
+takes about 2.5 s on a 2-core machine); other values are usage errors.
 """
 
 from __future__ import annotations
@@ -303,6 +305,11 @@ def run(argv=None) -> int:
         cpus = os.cpu_count() or 1
         if not 1 <= args.jobs <= cpus:
             parser.error(f"--jobs must be between 1 and {cpus} (the number of CPUs), got {args.jobs}")
+    if args.command == "bounds":
+        if not 2 <= args.nmax <= 1024:
+            parser.error(f"--nmax must be between 2 and 1024, got {args.nmax}")
+        if not 1 <= args.rmax <= 8:
+            parser.error(f"--rmax must be between 1 and 8, got {args.rmax}")
     try:
         return args.fn(args)
     except (ValueError, FileNotFoundError) as exc:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from ratio_lab.arith import primes_upto
+from ratio_lab.arith import factorize, primes_upto
 from ratio_lab.bounds import mertens_product_bound
 from ratio_lab.lists import SignedList, make_list
 
@@ -32,27 +32,6 @@ __all__ = [
     "liouville_norm_formula",
     "asymptotic_ratio_probe",
 ]
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    """Trial division by the integers up to 10^6.  A cofactor left below
-    10^12 is prime; a larger one cannot be certified prime without
-    searching past 10^6, and raises ValueError."""
-    out = []
-    p = 2
-    while p * p <= n and p <= 10**6:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            out.append((p, k))
-        p += 1 if p == 2 else 2
-    if p * p <= n:
-        raise ValueError(f"trial division to 10^6 leaves a cofactor {n} above 10^12, not certified prime")
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 @dataclass(frozen=True)
@@ -68,7 +47,7 @@ def build_liouville(N: int) -> LiouvilleList:
     d(N)(d(N) - 1)/2 gcds, 8.4 million at the cap."""
     if N < 1:
         raise ValueError("N must be positive")
-    factors = _factorize(N)
+    factors = factorize(N)
     d = prod(k + 1 for _, k in factors)
     if d > 4096:
         raise ValueError(f"d(N) = {d} exceeds the cap of 4096 divisors")
@@ -89,7 +68,7 @@ def liouville_norm_formula(N: int) -> Fraction:
         raise ValueError("N must be positive")
     d = 1
     f = Fraction(1)
-    for p, k in _factorize(N):
+    for p, k in factorize(N):
         d *= k + 1
         f *= 1 + 2 * sum(
             Fraction(k + 1 - j, k + 1) * Fraction((-1) ** j, p**j)
@@ -124,5 +103,5 @@ def asymptotic_ratio_probe(k: int) -> tuple[Fraction, Fraction]:
     trace rather than asserting closeness.
     """
     N = n_sub_k(k)
-    d = prod(e + 1 for _, e in _factorize(N))
+    d = prod(e + 1 for _, e in factorize(N))
     return liouville_norm_formula(N), mertens_product_bound(d)

@@ -12,6 +12,7 @@ from ratio_lab.bounds import (
     max_length_for_D,
     mertens_product_bound,
 )
+from ratio_lab.arith import primes_upto
 from ratio_lab.lists import make_list, norm
 
 F = Fraction
@@ -47,6 +48,62 @@ def test_g1_closed_form_matches_row_and_list_norm():
     assert g1_closed_form(1) == F(1, 12)
     assert g1_closed_form(3) == F(1, 8)
     assert g1_closed_form(7) == F(89, 384)
+
+
+def _reference_table(n_max, r_max):
+    # the O(n^3) Fraction scan that the row kernel replaced, kept verbatim
+    primes = primes_upto((r_max + 1) ** 2 + 1)[: r_max + 1]
+
+    gr: list[list[Fraction]] = [
+        [Fraction(n * n, 12) for n in range(n_max + 1)]
+    ]
+    gr[0][0] = Fraction(0)
+    for r in range(1, r_max + 1):
+        p = Fraction(primes[r - 1])
+        row = [Fraction(0), Fraction(1, 12)]
+        prev = gr[r - 1]
+        for n in range(2, n_max + 1):
+            best = prev[n]
+            for i in range(1, n):
+                split = row[i] + prev[n - i]
+                if split < best:
+                    best = split
+                j_min = min(row[j] for j in range(abs(n - 2 * i), n, 2))
+                mixed = (1 - 1 / p) * split + j_min / p
+                if mixed < best:
+                    best = mixed
+            row.append(best)
+        gr.append(row)
+
+    p = Fraction(primes[r_max])
+    g: list[Fraction] = [Fraction(0), Fraction(1, 12)]
+    top = gr[r_max]
+    for n in range(2, n_max + 1):
+        best = top[n]
+        for i in range(1, n):
+            split = g[i] + g[n - i]
+            if split < best:
+                best = split
+            j_min = min(g[j] for j in range(abs(n - 2 * i), n, 2))
+            mixed = (1 - 1 / p) * split + j_min / p
+            if mixed < best:
+                best = mixed
+        g.append(best)
+
+    g1: list[Fraction] = [Fraction(0), Fraction(0)]
+    for n in range(2, n_max + 1):
+        g1.append(min(g[i] + g[n - i] for i in range(1, n)))
+    return gr, g, g1
+
+
+@pytest.mark.parametrize("r_max", range(1, 6))
+@pytest.mark.parametrize("n_max", [2, 3, 11, 40])
+def test_row_kernel_matches_reference_scan(n_max, r_max):
+    gr, g, g1 = _reference_table(n_max, r_max)
+    table = build_table(n_max, r_max)
+    assert [list(row) for row in table.gr] == gr
+    assert list(table.g) == g
+    assert list(table.g1) == g1
 
 
 def test_build_table_validation():

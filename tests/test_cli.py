@@ -49,6 +49,28 @@ def test_bounds_table(capsys):
     assert len(data["G"]) == 10
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--nmax", "1000000"], "--nmax must be between 2 and 1024, got 1000000"),
+        (["--nmax", "1025"], "--nmax must be between 2 and 1024, got 1025"),
+        (["--nmax", "1"], "--nmax must be between 2 and 1024, got 1"),
+        (["--nmax", "11", "--rmax", "0"], "--rmax must be between 1 and 8, got 0"),
+        (["--nmax", "11", "--rmax", "9"], "--rmax must be between 1 and 8, got 9"),
+        (["--nmax", "11", "--rmax", "1000000"], "--rmax must be between 1 and 8, got 1000000"),
+    ],
+)
+def test_bounds_limits_are_usage_errors(capsys, monkeypatch, argv, message):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr("ratio_lab.cli.build_table", no_table)
+    with pytest.raises(SystemExit) as exc:
+        run(["bounds", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_separate_worked_example(capsys):
     code, out = invoke(capsys, "--format", "json", "separate", "--list", "30,-15,-10,-6,1")
     assert code == 0

@@ -51,7 +51,8 @@ def test_g1_closed_form_matches_row_and_list_norm():
 
 
 def _reference_table(n_max, r_max):
-    # the O(n^3) Fraction scan that the row kernel replaced, kept verbatim
+    # the recursion of the module docstring as a direct O(n^3) Fraction scan
+    # over every split i and every j in its window
     primes = primes_upto((r_max + 1) ** 2 + 1)[: r_max + 1]
 
     gr: list[list[Fraction]] = [

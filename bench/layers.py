@@ -1,5 +1,6 @@
 """Time the sum-zero enumeration, the classification and small-norm
-sweeps and the lower-bound table on fixed inputs.
+sweeps, the lower-bound table, max_separation and the Landau scan on
+fixed inputs.
 
     python3 bench/layers.py
 
@@ -28,6 +29,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 
 from ratio_lab.bounds import build_table  # noqa: E402
+from ratio_lab.integrality import RatioSpec, landau_min_max  # noqa: E402
+from ratio_lab.lists import make_list  # noqa: E402
 from ratio_lab.search import (  # noqa: E402
     _type_a3_sweep_7,
     _type_a_sweep_9,
@@ -35,8 +38,29 @@ from ratio_lab.search import (  # noqa: E402
     divisor_sweep_5,
     family_search_5,
     small_norm_catalog,
+    load_golden,
     sum_zero_divisor_lists,
 )
+from ratio_lab.separation import max_separation  # noqa: E402
+
+
+def _triple_box():
+    # the distinct primitive lists [x, y, z], 1 <= x <= 50, 0 < |y|, |z| <= 50,
+    # that the acceptance suite's criterion 8 checks against support_bound
+    seen = {}
+    for x in range(1, 51):
+        for y in range(-50, 51):
+            for z in range(-50, 51):
+                if y and z:
+                    a = make_list([x, y, z])
+                    if a.length == 3 and a.is_primitive():
+                        seen.setdefault(a.elements, a)
+    return list(seen.values())
+
+
+TRIPLES = _triple_box()
+SPORADIC_SPECS = [RatioSpec.from_list(e.list) for n in (5, 7, 9) for e in load_golden(f"sporadic_length{n}").entries]
+CHEBYSHEV_1000 = RatioSpec(numerator=(30000, 1000), denominator=(15000, 10000, 6000))
 
 CALLS = {
     "sum_zero_divisor_lists(432, 7)": lambda: sum_zero_divisor_lists(432, 7),
@@ -55,6 +79,9 @@ CALLS = {
     "small_norm_catalog(8, 8/45)": lambda: small_norm_catalog(8, Fraction(8, 45)),
     "build_table(128, 3)": lambda: build_table(128, 3),
     "build_table(256, 3)": lambda: build_table(256, 3),
+    "max_separation(criterion 8 triple box)": lambda: [max_separation(a) for a in TRIPLES],
+    "landau_min_max(52 sporadic specs)": lambda: [landau_min_max(r) for r in SPORADIC_SPECS],
+    "landau_min_max(1000 x Chebyshev)": lambda: landau_min_max(CHEBYSHEV_1000),
 }
 RUNS = 3
 

@@ -3,15 +3,20 @@
 Every fraction prints as "p/q" with positive reduced denominator, never
 as a decimal.  Lists on the command line are comma-separated integers.
 Exit codes: 0 on success / verification pass, 1 on a verification
-failure (non-integral spec, catalog mismatch), 2 on usage errors.
-JSON output is stable-ordered and round-trips through the emitting
-types.  classify --jobs N deals the head loop of each divisor-support
-sweep (length 5, all three length-7 sweeps, length 9) out to N worker
-processes; the length-5 family scan and the length-9 recombination run
-in the main process.  Results are identical for any N from 1 to the
+failure (non-integral spec, catalog mismatch), 2 on usage errors, and
+141 (128 + SIGPIPE, what a shell reports for a command killed by it)
+with nothing on stderr when the reader closes stdout early.  JSON output
+is stable-ordered and round-trips through the emitting types.  classify
+--jobs N deals the head loop of each divisor-support sweep (length 5,
+all three length-7 sweeps, length 9) out to N worker processes; the
+length-5 family scan and the length-9 recombination run in the main
+process.  Results are identical for any N from 1 to the
 number of CPUs, and other values are usage errors.  bounds takes
 --nmax from 2 to 1024 and --rmax from 1 to 8 (the table at 1024 and 8
 takes about 2.5 s on a 2-core machine); other values are usage errors.
+check scans v - 1 breakpoints for each distinct entry v, and more than
+10^6 in all is a usage error.  separate without --k lists every k that
+has a witness, from the divisors of the split coefficients.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from ratio_lab.search import (
     small_norm_catalog,
     verify_catalog,
 )
-from ratio_lab.separation import find_separations, max_separation
+from ratio_lab.separation import find_separations, separation_orders
 
 __all__ = ["main", "run"]
 
@@ -112,8 +117,8 @@ def _cmd_separate(args) -> int:
             )
         _emit(args, payload, lines)
         return 0
-    top = max_separation(a)
-    ks = [k for k in range(2, top + 1) if find_separations(a, k)]
+    ks = separation_orders(a)
+    top = max(ks, default=1)
     payload = {"list": a.to_json(), "max_separation": top, "separated_for": ks}
     _emit(args, payload, [f"max separation: {top}", f"k with witnesses: {ks}"])
     return 0
@@ -310,6 +315,10 @@ def run(argv=None) -> int:
             parser.error(f"--nmax must be between 2 and 1024, got {args.nmax}")
         if not 1 <= args.rmax <= 8:
             parser.error(f"--rmax must be between 1 and 8, got {args.rmax}")
+    if args.command == "check":
+        points = sum(v - 1 for v in {*args.num, *args.den})
+        if points > 10**6:
+            parser.error(f"--num and --den give {points} breakpoints to scan, above the cap of 10^6")
     try:
         return args.fn(args)
     except (ValueError, FileNotFoundError) as exc:
@@ -318,7 +327,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the
+        # interpreter's last flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

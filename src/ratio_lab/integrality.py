@@ -89,35 +89,20 @@ def to_list(r: RatioSpec) -> SignedList:
     return a
 
 
-def _f_at(r: RatioSpec, x: Fraction) -> int:
-    total = 0
-    for a in r.numerator:
-        v = a * x
-        total += v.numerator // v.denominator
-    for b in r.denominator:
-        v = b * x
-        total -= v.numerator // v.denominator
-    return total
-
-
 def landau_min_max(r: RatioSpec) -> tuple[int, int]:
     """Exact (min, max) of f over [0, 1).
 
     f is 1-periodic and right-continuous, jumping only at the points
     m/v for v an entry, so its extrema over the reals are attained on
-    that finite set.  The ratio is integral for all n iff min >= 0.
+    that finite set, where f(m/v) = sum_i floor(a_i m / v) - sum_j
+    floor(b_j m / v) in integers.  The ratio is integral for all n iff
+    min >= 0.
     """
     lo = hi = 0  # f(0) = 0
-    seen = set()
     for v in set(r.numerator) | set(r.denominator):
         for m in range(1, v):
-            x = Fraction(m, v)
-            if x in seen:
-                continue
-            seen.add(x)
-            val = _f_at(r, x)
-            lo = min(lo, val)
-            hi = max(hi, val)
+            val = sum(a * m // v for a in r.numerator) - sum(b * m // v for b in r.denominator)
+            lo, hi = min(lo, val), max(hi, val)
     return lo, hi
 
 
@@ -180,22 +165,15 @@ def _match_type_a_family(values) -> tuple[int, int] | None:
     # sign; with mixed signs this is the same multiset as the third family
     # [2a', b', -a', -2b', -(a'-b')] (take b = -b'), so one matcher covers
     # both and the caller tags by the sign pattern
-    target = _as_multiset(values)
+    target = tuple(sorted(values))
     candidates = sorted({-v for v in values})
     for a in candidates:
         for b in candidates:
             if a + b == 0 or gcd(a, b) != 1:
                 continue
-            cand = _as_multiset([2 * a, 2 * b, -a, -b, -(a + b)])
-            if cand is not None and cand == target:
+            if tuple(sorted([2 * a, 2 * b, -a, -b, -(a + b)])) == target:
                 return (a, b)
     return None
-
-
-def _as_multiset(values) -> tuple[int, ...] | None:
-    if any(v == 0 for v in values):
-        return None
-    return tuple(sorted(values))
 
 
 def family_membership(a: SignedList) -> str:

@@ -15,13 +15,18 @@ When it holds, the norm decomposes as
 with b~ = (B/k) b and c~ = C c (symmetrically when k | C).  Lists that are
 at most k-separated have all elements dividing an explicit modulus, which
 is what makes the exhaustive classification searches finite.
+
+Every query walks the splits one way: B and C come from the signed
+contents of the two sides, and the test runs on a's own elements, so
+make_list builds parts only for the witnesses find_separations returns.
+Each valid k divides B or C, so separation_orders tries only their
+divisors, and max_separation is its largest entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from math import gcd
 
@@ -32,6 +37,7 @@ __all__ = [
     "SeparationWitness",
     "SupportBound",
     "find_separations",
+    "separation_orders",
     "max_separation",
     "check_decomposition",
     "support_bound",
@@ -84,68 +90,43 @@ class SeparationWitness:
         }
 
 
-def _signed_content(elements: tuple[int, ...]) -> int:
-    """gcd of the elements, signed so that dividing by it makes the
-    smallest-|value| element positive."""
-    g = reduce(gcd, (abs(e) for e in elements))
-    first = min(elements, key=lambda e: (abs(e), 0 if e < 0 else 1))
-    return g if first > 0 else -g
-
-
-def _partitions(a: SignedList):
-    """Unordered proper partitions of the positions, with derived parts.
-
-    Yields (b_indices, b_part, B, c_part, C) with len(b) <= len(c), ties
-    broken so that b is canonically smallest.
-    """
+def _splits(a: SignedList):
+    """Each unordered split of a primitive list's positions, once, as
+    (side, B, other, C): b = [a_i / B for i in side] and c likewise are
+    primitive with their smallest-|value| element positive, and b is the
+    shorter part (at equal length, the smaller).  Dividing a canonical
+    list by a signed content keeps it canonical, so no part is built."""
+    if a.length < 2:
+        raise ValueError("list must have length at least 2")
+    if not a.is_primitive():
+        raise ValueError("list must be primitive")
     els = a.elements
     n = len(els)
-    positions = range(1, n)
+
+    def content(pos):
+        g = gcd(*(els[i] for i in pos))
+        return g if els[pos[0]] > 0 else -g
+
     for size in range(1, n):
-        # fix position 0 on one side to visit each unordered partition once
-        for rest in combinations(positions, size - 1):
-            side0 = (0,) + rest
-            other = tuple(i for i in range(n) if i not in side0)
-            g0 = _signed_content(tuple(els[i] for i in side0))
-            g1 = _signed_content(tuple(els[i] for i in other))
-            part0 = make_list([els[i] // g0 for i in side0])
-            part1 = make_list([els[i] // g1 for i in other])
-            if len(side0) < len(other):
-                b_idx, b, B, c, C = side0, part0, g0, part1, g1
-            elif len(side0) > len(other):
-                b_idx, b, B, c, C = other, part1, g1, part0, g0
-            elif part0.elements <= part1.elements:
-                b_idx, b, B, c, C = side0, part0, g0, part1, g1
-            else:
-                b_idx, b, B, c, C = other, part1, g1, part0, g0
-            yield frozenset(b_idx), b, B, c, C
+        # fix position 0 on one side to visit each unordered split once
+        for rest in combinations(range(1, n), size - 1):
+            side = (0,) + rest
+            other = tuple(i for i in range(1, n) if i not in rest)
+            B, C = content(side), content(other)
+            if (len(side), [els[i] // B for i in side]) > (len(other), [els[i] // C for i in other]):
+                side, B, other, C = other, C, side, B
+            yield side, B, other, C
 
 
-def _gcd_condition(k: int, B: int, b_scaled_elements, c_elements) -> bool:
-    """Part 3 of the definition for the side whose coefficient B has k|B:
-    gcd(e, c) = gcd(e/k, c) for every e in B*b and c in the primitive c."""
-    for e in b_scaled_elements:
-        e_red = e // k
-        for c in c_elements:
-            if gcd(e, c) != gcd(e_red, c):
-                return False
-    return True
-
-
-def _witness_if_valid(a, k, b_idx, b, B, c, C):
-    if (B % k == 0) == (C % k == 0):
-        return None  # need exactly one coefficient divisible by k
-    # primitivity of the parent forces gcd(B, C) = 1; assert to catch bugs
-    assert gcd(B, C) == 1, (a, B, C)
-    if B % k == 0:
-        scaled = [B * e for e in b.elements]
-        ok = _gcd_condition(k, B, scaled, [abs(e) for e in c.elements])
-    else:
-        scaled = [C * e for e in c.elements]
-        ok = _gcd_condition(k, C, scaled, [abs(e) for e in b.elements])
-    if not ok:
-        return None
-    return SeparationWitness(k=k, b_part=b, c_part=c, B=B, C=C, b_indices=b_idx)
+def _separated(k: int, els: tuple[int, ...], side, B: int, other, C: int) -> bool:
+    """Whether a split is a k-separation: k divides exactly one of B, C,
+    and gcd(e, c) = gcd(e/k, c) for every element e of a on that side and
+    every element c of the other side's primitive part."""
+    if C % k == 0:
+        side, B, other, C = other, C, side, B
+    if B % k or C % k == 0:
+        return False
+    return all(gcd(els[i], els[j] // C) == gcd(els[i] // k, els[j] // C) for i in side for j in other)
 
 
 def find_separations(a: SignedList, k: int) -> list[SeparationWitness]:
@@ -153,36 +134,33 @@ def find_separations(a: SignedList, k: int) -> list[SeparationWitness]:
     partition of the positions."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    if a.length < 2:
-        raise ValueError("list must have length at least 2")
-    if not a.is_primitive():
-        raise ValueError("list must be primitive")
+    els = a.elements
     out = []
-    for b_idx, b, B, c, C in _partitions(a):
-        w = _witness_if_valid(a, k, b_idx, b, B, c, C)
-        if w is not None:
-            out.append(w)
+    for side, B, other, C in _splits(a):
+        if _separated(k, els, side, B, other, C):
+            b, c = make_list(els[i] // B for i in side), make_list(els[i] // C for i in other)
+            out.append(SeparationWitness(k, b, c, B, C, frozenset(side)))
     out.sort(key=lambda w: sorted(w.b_indices))
     return out
 
 
-def max_separation(a: SignedList) -> int:
-    """Largest k >= 2 for which a is k-separated, or 1 if none.
+def separation_orders(a: SignedList) -> list[int]:
+    """Every k >= 2 for which a primitive list is k-separated, ascending.
 
-    Every valid k divides the B or C of some split, so scanning the
+    Every such k divides the B or C of a split that passes, so testing the
     divisors of the finitely many split coefficients is exhaustive.
     """
-    if a.length < 2:
-        raise ValueError("list must have length at least 2")
-    if not a.is_primitive():
-        raise ValueError("list must be primitive")
-    best = 1
-    for b_idx, b, B, c, C in _partitions(a):
-        for coeff in (B, C):
-            for k in divisors(coeff):
-                if k > best and _witness_if_valid(a, k, b_idx, b, B, c, C):
-                    best = k
-    return best
+    found = set()
+    for side, B, other, C in _splits(a):
+        for k in {*divisors(B), *divisors(C)} - found - {1}:
+            if _separated(k, a.elements, side, B, other, C):
+                found.add(k)
+    return sorted(found)
+
+
+def max_separation(a: SignedList) -> int:
+    """Largest k >= 2 for which a is k-separated, or 1 if none."""
+    return max(separation_orders(a), default=1)
 
 
 def check_decomposition(

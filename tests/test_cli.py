@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -40,6 +43,40 @@ def test_check_failure_exit(capsys):
     assert json.loads(out)["integral"] is False
 
 
+def test_check_breakpoint_cap_is_usage_error(capsys, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("a scan was started")
+
+    monkeypatch.setattr("ratio_lab.cli.landau_min_max", no_scan)
+    with pytest.raises(SystemExit) as exc:
+        run(["check", "--num", "1000000000,1000000000", "--den", "1999999999,1"])
+    assert exc.value.code == 2
+    assert "2999999997 breakpoints to scan, above the cap of 10^6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--list", "1,-2"],  # fits the stdout buffer: fails at the last flush
+        ["--format", "json", "bounds", "--nmax", "256"],  # larger than the buffer: fails in print
+    ],
+)
+def test_closed_stdout_exits_quietly(argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered, as it is by default on a pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ratio_lab.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
+
+
 def test_bounds_table(capsys):
     code, out = invoke(capsys, "--format", "json", "bounds", "--nmax", "11")
     assert code == 0
@@ -78,6 +115,16 @@ def test_separate_worked_example(capsys):
     assert data["max_separation"] == 5
     assert set(data["separated_for"]) >= {2, 3, 5}
     assert 6 not in data["separated_for"]
+
+
+def test_separate_lists_every_k_with_a_witness(capsys):
+    # [1, -2^40] is 2^j-separated for j = 1..40 and for no other k; a scan
+    # of every k up to the maximum would take 2^40 steps
+    code, out = invoke(capsys, "--format", "json", "separate", "--list", "1,-1099511627776")
+    assert code == 0
+    data = json.loads(out)
+    assert data["separated_for"] == [2**j for j in range(1, 41)]
+    assert data["max_separation"] == 2**40
 
 
 def test_separate_with_k(capsys):

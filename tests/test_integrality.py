@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratio_lab.integrality import (
     RatioSpec,
@@ -54,6 +56,56 @@ def test_landau_binomial_family():
     assert is_integral(RatioSpec(numerator=(5,), denominator=(2, 3)))
 
 
+def _f_at(r: RatioSpec, x: Fraction) -> int:
+    total = 0
+    for a in r.numerator:
+        v = a * x
+        total += v.numerator // v.denominator
+    for b in r.denominator:
+        v = b * x
+        total -= v.numerator // v.denominator
+    return total
+
+
+def _random_spec(rng, top=60):
+    while True:
+        num = [rng.randint(1, top) for _ in range(rng.randint(1, 4))]
+        den = [rng.randint(1, top) for _ in range(rng.randint(0, 4))]
+        last = sum(num) - sum(den)
+        if last > 0 and not set(num) & set(den + [last]):
+            return RatioSpec(numerator=tuple(num), denominator=tuple(den + [last]))
+
+
+def test_landau_integer_scan_matches_fraction_scan():
+    # f evaluated with one Fraction per distinct breakpoint, as the scan
+    # was written before it worked on integer floors
+    rng = random.Random(8)
+    for _ in range(1000):
+        r = _random_spec(rng)
+        points = {F(m, v) for v in r.numerator + r.denominator for m in range(1, v)}
+        values = [0] + [_f_at(r, x) for x in points]
+        assert landau_min_max(r) == (min(values), max(values)), r
+
+
+@st.composite
+def _specs(draw):
+    num = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    den = draw(st.lists(st.integers(1, 12), max_size=3))
+    last = sum(num) - sum(den)
+    if last <= 0 or set(num) & set(den + [last]):
+        # K = 1: ({a+b}; {a, b}) is a binomial coefficient, always integral
+        a = draw(st.integers(1, 12))
+        return RatioSpec(numerator=(a + 1,), denominator=(a, 1) if a > 1 else (1, 1))
+    return RatioSpec(numerator=tuple(num), denominator=tuple(den + [last]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_specs())
+def test_landau_integral_implies_valuations_pass(r):
+    if is_integral(r):
+        assert valuation_oracle(r, 60) is None
+
+
 def test_landau_reflection_and_range():
     rng = random.Random(2)
     specs = [CHEB, RatioSpec(numerator=(4, 6), denominator=(2, 3, 5))]
@@ -61,8 +113,6 @@ def test_landau_reflection_and_range():
         lo, hi = landau_min_max(r)
         assert 0 <= lo and hi <= r.D
         # f(x) + f(-x) = D away from breakpoints
-        from ratio_lab.integrality import _f_at
-
         for _ in range(25):
             x = F(rng.randint(1, 100), 101)
             assert _f_at(r, x) + _f_at(r, -x) == r.D

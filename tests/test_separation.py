@@ -1,16 +1,21 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 from math import gcd
 
 import pytest
 
-from ratio_lab.lists import make_list, norm
+from ratio_lab.arith import divisors
+from ratio_lab.lists import SignedList, make_list, norm
 from ratio_lab.separation import (
     PRESET_MODULI,
+    SeparationWitness,
     check_decomposition,
     find_separations,
     forced_coefficients,
     max_separation,
+    separation_orders,
     support_bound,
 )
 
@@ -169,3 +174,134 @@ def test_witness_json():
     w = find_separations(make_list([1, -2]), 2)[0]
     d = w.to_json()
     assert d["k"] == 2 and set(d) == {"k", "B", "C", "b", "c"}
+
+
+# The split walk that find_separations and max_separation ran on before they
+# worked from signed contents alone: make_list builds both parts of every
+# split.  Kept verbatim as the reference the current code must match.
+
+
+def _signed_content(elements: tuple[int, ...]) -> int:
+    """gcd of the elements, signed so that dividing by it makes the
+    smallest-|value| element positive."""
+    g = reduce(gcd, (abs(e) for e in elements))
+    first = min(elements, key=lambda e: (abs(e), 0 if e < 0 else 1))
+    return g if first > 0 else -g
+
+
+def _partitions(a: SignedList):
+    """Unordered proper partitions of the positions, with derived parts.
+
+    Yields (b_indices, b_part, B, c_part, C) with len(b) <= len(c), ties
+    broken so that b is canonically smallest.
+    """
+    els = a.elements
+    n = len(els)
+    positions = range(1, n)
+    for size in range(1, n):
+        # fix position 0 on one side to visit each unordered partition once
+        for rest in combinations(positions, size - 1):
+            side0 = (0,) + rest
+            other = tuple(i for i in range(n) if i not in side0)
+            g0 = _signed_content(tuple(els[i] for i in side0))
+            g1 = _signed_content(tuple(els[i] for i in other))
+            part0 = make_list([els[i] // g0 for i in side0])
+            part1 = make_list([els[i] // g1 for i in other])
+            if len(side0) < len(other):
+                b_idx, b, B, c, C = side0, part0, g0, part1, g1
+            elif len(side0) > len(other):
+                b_idx, b, B, c, C = other, part1, g1, part0, g0
+            elif part0.elements <= part1.elements:
+                b_idx, b, B, c, C = side0, part0, g0, part1, g1
+            else:
+                b_idx, b, B, c, C = other, part1, g1, part0, g0
+            yield frozenset(b_idx), b, B, c, C
+
+
+def _gcd_condition(k: int, B: int, b_scaled_elements, c_elements) -> bool:
+    """Part 3 of the definition for the side whose coefficient B has k|B:
+    gcd(e, c) = gcd(e/k, c) for every e in B*b and c in the primitive c."""
+    for e in b_scaled_elements:
+        e_red = e // k
+        for c in c_elements:
+            if gcd(e, c) != gcd(e_red, c):
+                return False
+    return True
+
+
+def _witness_if_valid(a, k, b_idx, b, B, c, C):
+    if (B % k == 0) == (C % k == 0):
+        return None  # need exactly one coefficient divisible by k
+    # primitivity of the parent forces gcd(B, C) = 1; assert to catch bugs
+    assert gcd(B, C) == 1, (a, B, C)
+    if B % k == 0:
+        scaled = [B * e for e in b.elements]
+        ok = _gcd_condition(k, B, scaled, [abs(e) for e in c.elements])
+    else:
+        scaled = [C * e for e in c.elements]
+        ok = _gcd_condition(k, C, scaled, [abs(e) for e in b.elements])
+    if not ok:
+        return None
+    return SeparationWitness(k=k, b_part=b, c_part=c, B=B, C=C, b_indices=b_idx)
+
+
+def _reference_max_separation(a: SignedList) -> int:
+    """Largest k >= 2 for which a is k-separated, or 1 if none.
+
+    Every valid k divides the B or C of some split, so scanning the
+    divisors of the finitely many split coefficients is exhaustive.
+    """
+    if a.length < 2:
+        raise ValueError("list must have length at least 2")
+    if not a.is_primitive():
+        raise ValueError("list must be primitive")
+    best = 1
+    for b_idx, b, B, c, C in _partitions(a):
+        for coeff in (B, C):
+            for k in divisors(coeff):
+                if k > best and _witness_if_valid(a, k, b_idx, b, B, c, C):
+                    best = k
+    return best
+
+
+def _reference_witnesses(a, k):
+    out = []
+    for b_idx, b, B, c, C in _partitions(a):
+        w = _witness_if_valid(a, k, b_idx, b, B, c, C)
+        if w is not None:
+            out.append(w)
+    out.sort(key=lambda w: sorted(w.b_indices))
+    return out
+
+
+def _criterion_8_lists():
+    # the random lists of the acceptance suite's criterion 8
+    rng = random.Random(22)
+    for _ in range(1000):
+        n = rng.randint(2, 5)
+        a = make_list([rng.choice([-1, 1]) * rng.randint(1, 20) for _ in range(n)])
+        if a.length >= 2 and a.is_primitive():
+            yield a
+
+
+def _as_tuple(w):
+    return (w.k, w.B, w.C, w.b_part.elements, w.c_part.elements, tuple(sorted(w.b_indices)))
+
+
+def test_witnesses_match_reference_walk():
+    lists = list(_criterion_8_lists()) + [CHEB, make_list([1, -5, 25]), make_list([4, 6, -9, 10, -15, 12])]
+    witnesses = 0
+    for a in lists:
+        for k in range(2, 8):
+            got = [_as_tuple(w) for w in find_separations(a, k)]
+            assert got == [_as_tuple(w) for w in _reference_witnesses(a, k)], (a, k)
+            witnesses += len(got)
+        assert max_separation(a) == _reference_max_separation(a), a
+    assert witnesses > 100
+
+
+def test_separation_orders_match_range_scan():
+    for a in list(_criterion_8_lists())[:300] + [CHEB, make_list([1, -5, 25])]:
+        top = _reference_max_separation(a)
+        assert separation_orders(a) == [k for k in range(2, top + 1) if _reference_witnesses(a, k)], a
+    assert separation_orders(CHEB) == [2, 3, 5]

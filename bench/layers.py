@@ -4,9 +4,10 @@ fixed inputs.
 
     python3 bench/layers.py
 
-Runs each call in CALLS three times against this checkout's src/ and
-writes the medians, with the machine (cores, Python, numpy), into
-BENCH_layers.json at the repository root.  The column is named after
+Runs each call in CALLS three times against this checkout's src/, in a
+child process of its own, and writes the medians and the child's peak
+RSS, with the machine (cores, Python, numpy), into BENCH_layers.json at
+the repository root.  The column is named after
 the checkout: its short commit, with "+worktree" when src/ differs from
 that commit.  Columns already in the file are kept, so running the
 script in two checkouts in turn puts their timings side by side.
@@ -15,8 +16,10 @@ script in two checkouts in turn puts their timings side by side.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -63,6 +66,9 @@ SPORADIC_SPECS = [RatioSpec.from_list(e.list) for n in (5, 7, 9) for e in load_g
 CHEBYSHEV_1000 = RatioSpec(numerator=(30000, 1000), denominator=(15000, 10000, 6000))
 
 CALLS = {
+    "sum_zero_divisor_lists(720, 3)": lambda: sum_zero_divisor_lists(720, 3),
+    "sum_zero_divisor_lists(720, 4)": lambda: sum_zero_divisor_lists(720, 4),
+    "sum_zero_divisor_lists(720, 5)": lambda: sum_zero_divisor_lists(720, 5),
     "sum_zero_divisor_lists(432, 7)": lambda: sum_zero_divisor_lists(432, 7),
     "sum_zero_divisor_lists(720, 7)": lambda: sum_zero_divisor_lists(720, 7),
     "sum_zero_divisor_lists(1728, 7)": lambda: sum_zero_divisor_lists(1728, 7),
@@ -94,16 +100,24 @@ def _column() -> str:
     return git("rev-parse", "--short", "HEAD").strip() + ("+worktree" if dirty else "")
 
 
+def _measure(name: str) -> dict:
+    """Run one call RUNS times; the peak RSS is this process's, a fresh
+    interpreter that has imported this module."""
+    runs = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        CALLS[name]()
+        runs.append(round(time.perf_counter() - start, 4))
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {"median_s": median(runs), "runs_s": runs, "peak_rss_mb": round(peak, 1)}
+
+
 def main() -> None:
     seconds = {}
-    for name, call in CALLS.items():
-        runs = []
-        for _ in range(RUNS):
-            start = time.perf_counter()
-            call()
-            runs.append(round(time.perf_counter() - start, 4))
-        seconds[name] = {"median_s": median(runs), "runs_s": runs}
-        print(f"{name}: {median(runs):.3f} s (runs {runs})", flush=True)
+    for name in CALLS:
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            seconds[name] = pool.apply(_measure, (name,))
+        print(f"{name}: {seconds[name]['median_s']:.3f} s, {seconds[name]['peak_rss_mb']} MB", flush=True)
     path = os.path.join(ROOT, "BENCH_layers.json")
     data = {"columns": {}}
     if os.path.exists(path):

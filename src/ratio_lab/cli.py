@@ -14,8 +14,9 @@ process.  Results are identical for any N from 1 to the
 number of CPUs, and other values are usage errors.  bounds takes
 --nmax from 2 to 1024 and --rmax from 1 to 8 (the table at 1024 and 8
 takes about 2.5 s on a 2-core machine); other values are usage errors.
-check scans v - 1 breakpoints for each distinct entry v, and more than
-10^6 in all is a usage error.  separate without --k lists every k that
+check scans v - 1 breakpoints for each distinct entry v and sums over
+every entry at each, so more than 2*10^6 breakpoints times entries is a
+usage error.  separate without --k lists every k that
 has a witness, from the divisors of the split coefficients.
 """
 
@@ -158,10 +159,6 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _catalog_payload(cat) -> dict:
-    return cat.to_json()
-
-
 def _catalog_lines(cat) -> list[str]:
     lines = [f"{cat.name}: {len(cat.entries)} entries"]
     for e in cat.entries:
@@ -171,7 +168,7 @@ def _catalog_lines(cat) -> list[str]:
 
 def _cmd_classify(args) -> int:
     cat = classify_length(args.length, jobs=args.jobs)
-    _emit(args, _catalog_payload(cat), _catalog_lines(cat))
+    _emit(args, cat.to_json(), _catalog_lines(cat))
     try:
         golden = load_golden(f"sporadic_length{args.length}")
     except FileNotFoundError:
@@ -186,7 +183,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_small_norm(args) -> int:
     cat = small_norm_catalog(args.length, args.threshold)
-    _emit(args, _catalog_payload(cat), _catalog_lines(cat))
+    _emit(args, cat.to_json(), _catalog_lines(cat))
     return 0
 
 
@@ -316,9 +313,9 @@ def run(argv=None) -> int:
         if not 1 <= args.rmax <= 8:
             parser.error(f"--rmax must be between 1 and 8, got {args.rmax}")
     if args.command == "check":
-        points = sum(v - 1 for v in {*args.num, *args.den})
-        if points > 10**6:
-            parser.error(f"--num and --den give {points} breakpoints to scan, above the cap of 10^6")
+        points, entries = sum(v - 1 for v in {*args.num, *args.den}), len(args.num) + len(args.den)
+        if points * entries > 2 * 10**6:
+            parser.error(f"--num and --den give {points} breakpoints times {entries} entries, above the cap of 2*10^6")
     try:
         return args.fn(args)
     except (ValueError, FileNotFoundError) as exc:

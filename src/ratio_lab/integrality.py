@@ -127,23 +127,18 @@ def norm_quarter_check(a: SignedList) -> RatioSpec | None:
     return spec
 
 
-def valuation_oracle(
-    r: RatioSpec, n_max: int, p_max: int | None = None
-) -> tuple[int, int] | None:
+def valuation_oracle(r: RatioSpec, n_max: int) -> tuple[int, int] | None:
     """Check sum_i v_p((a_i n)!) >= sum_j v_p((b_j n)!) directly.
 
     Uses v_p(m!) = sum_t floor(m / p^t).  Scans every n <= n_max and
-    every prime p up to (largest entry) * n (capped at p_max if given);
-    larger primes divide none of the factorials.  Returns the first
-    violating (n, p), or None on a clean pass.  Cross-validates the
-    Landau criterion on the tested range; it is not a proof.
+    every prime p up to (largest entry) * n; larger primes divide none
+    of the factorials.  Returns the first violating (n, p), or None on a
+    clean pass.  Cross-validates the Landau criterion on the tested
+    range; it is not a proof.
     """
     entries = [(a, 1) for a in r.numerator] + [(b, -1) for b in r.denominator]
     biggest = max(e for e, _ in entries)
-    limit = biggest * n_max
-    if p_max is not None:
-        limit = min(limit, p_max)
-    primes = primes_upto(limit)
+    primes = primes_upto(biggest * n_max)
     for n in range(1, n_max + 1):
         top = biggest * n
         for p in primes:

@@ -19,9 +19,11 @@ one searchsorted range of the sorted tail rows, so only rows that can
 hit are visited, each multiset once, and their float norms come from
 cross-term tables.  `_live_rows` drops degenerate and non-primitive
 rows, `_confirm` decides the rest exactly, and `_dedup` identifies lists
-up to permutation and global sign flip.  The float test only prunes:
-every sweep checks that the error bound of `_prefilter_error` is below
-FLOAT_TOL.
+up to permutation and global sign flip.  One rule names a +- pair: of a
+list and its negation, the one whose canonical tuple starts negative
+(`canonical_pair_key`); `sum_zero_divisor_lists` keeps just that member
+at every length.  The float test only prunes: every sweep checks that
+the error bound of `_prefilter_error` is below FLOAT_TOL.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 from ratio_lab.arith import divisors
 from ratio_lab.integrality import RatioSpec, family_membership, is_integral, norm_quarter_check
 from ratio_lab.lists import SignedList, classify_type, concat, make_list, norm, norm_by_integration, scale
-from ratio_lab.separation import PRESET_MODULI
+from ratio_lab.separation import PRESET_MODULI, forced_coefficients
 
 __all__ = [
     "SearchSpec",
@@ -82,8 +84,10 @@ def _box(bound: int) -> tuple[int, ...]:
 
 
 def canonical_pair_key(a: SignedList) -> tuple[int, ...]:
-    """Dedup key: canonical element tuple, minimised over global sign flip."""
-    return min(a.elements, a.negate().elements)
+    """Dedup key of a +- pair: the canonical element tuple of whichever of
+    a and its negation starts negative.  A non-degenerate list and its
+    negation first differ at position 0, so this is the smaller of the two."""
+    return a.elements if a.elements[:1] < (0,) else tuple(-v for v in a.elements)
 
 
 def _dedup(lists) -> list[SignedList]:
@@ -248,10 +252,10 @@ def _scan(args) -> np.ndarray:
     tables = {pair: _cross(groups[pair[0]], groups[pair[1]]) for pair in set(combinations(owner, 2))}
 
     def sums(params, cols):
-        """Element sums and, for a float test, inner cross terms of rows (one row for none)."""
+        """Element sums for a join and, for a float test, inner cross terms of rows (one row for none)."""
         rows = len(cols[0]) if cols else 1
         total, inner = np.zeros(rows, dtype=np.int64), np.zeros(rows)
-        for gi, i in zip(params, cols):
+        for gi, i in zip(params, cols) if sum_zero else ():
             total += sum(groups[gi].mults) * vals[gi][i]
         for q, r in combinations(range(len(params)) if test else (), 2):
             inner += tables[params[q], params[r]][cols[q], cols[r]]
@@ -270,22 +274,22 @@ def _scan(args) -> np.ndarray:
     gcds = solved is True and _n_combos(groups, owner) >= top and all(top % x == 0 for x in elements)
     slot, tabs = _gcd_tables(groups, top) if gcds else (None, None)
     out = [np.empty((0, sweep.length), dtype=np.int64)]
+    all_tail, tail_rows = _index_rows(groups, tail)
+    if not sum_zero:  # read in every chunk: in numpy's index type
+        all_tail = [i.astype(np.intp) for i in all_tail]
     # the tail goes TAIL_ROWS rows at a time unless the heads outnumber it
     # (each part takes every head)
-    all_tail, tail_rows = _index_rows(groups, tail)
     step = tail_rows if _n_combos(groups, owner[:cut]) >= tail_rows else TAIL_ROWS
     for t0 in range(0, tail_rows, step):
         tail_idx = [i[t0 : t0 + step] for i in all_tail]
-        if sum_zero:  # in the order of the key, in place
-            order = np.argsort(sums(tail, tail_idx)[0] * n + (tail_idx[0] if shared else 0), kind="stable")
-            for i in tail_idx:
+        key, tail_inner = sums(tail, tail_idx)
+        if sum_zero:  # the join key, and the tail rows in its order, in place
+            key *= n
+            key += tail_idx[0] if shared else 0
+            order = np.argsort(key, kind="stable")
+            for i in (*tail_idx, key, tail_inner):
                 i[:] = i[order]
             del order
-        else:  # at most TAIL_ROWS rows, read in every chunk: in numpy's index type
-            tail_idx = [i.astype(np.intp) for i in tail_idx]
-        key, tail_inner = sums(tail, tail_idx)
-        key *= n if sum_zero else 0
-        key += tail_idx[0] if shared else 0
         segments = [combinations_with_replacement(range(len(vals[g])), k) for g, k in Counter(owner[:lead]).items()]
         for hi in islice(product(*segments), part, None, parts):
             hi = sum(hi, ())
@@ -303,8 +307,8 @@ def _scan(args) -> np.ndarray:
                     stop = np.searchsorted(key, at + n)
                     ends = np.cumsum(stop - lo)
                 else:  # one head, and the tail rows from its last index on
-                    lo = int(np.searchsorted(key, head[-1])) if shared else 0
-                    ends = [len(key) - lo]
+                    lo = int(np.searchsorted(tail_idx[0], head[-1])) if shared else 0
+                    ends = [len(tail_inner) - lo]
                 for c0 in range(0, int(ends[-1]), CHUNK):
                     c1 = min(c0 + CHUNK, int(ends[-1]))
                     if not sum_zero:  # one head: its hits are a slice of the tail
@@ -411,37 +415,17 @@ def sum_zero_divisor_lists(modulus: int, length: int, test=None, jobs: int = 1) 
     """Every primitive non-degenerate sum-zero list of the given length
     with all elements dividing the modulus, deduplicated up to
     permutation and global sign flip, in canonical_pair_key order; a
-    float `test` (as in _Sweep) prunes.  Up to length 4 the lists come
-    from _confirm and _dedup, each multiset in support order.  From
-    length 5 on, of each multiset and its negation the one whose sorted
-    tuple is smaller is kept and becomes a SignedList directly."""
+    float `test` (as in _Sweep) prunes.  The join gives each multiset
+    once, in support order, which is canonical order; of each multiset
+    and its negation the one that starts negative, its own
+    canonical_pair_key, is kept and becomes a SignedList directly."""
     if length < 2 or length > 7:
         raise ValueError("supported lengths: 2..7")
     vals = _signed_divisors(modulus)
-    sweep = _Sweep((_Group(vals, length - 1),), test, vals)
-    if length <= 4:
-        return _dedup(_confirm(sweep, lambda a: True, jobs))
-    rows = _rows(sweep, jobs)
-    rows.sort(axis=1)
-    rows = rows[_lex_less(rows, -rows[:, ::-1])]
-    # each row and its negation in SignedList order, ascending |v| and
-    # negative first; the smaller of the two is the canonical_pair_key
-    els, neg = _canonical_order(rows), _canonical_order(-rows)
-    keys = np.where(_lex_less(els, neg)[:, None], els, neg)
-    els = els[np.lexsort(keys.T[::-1])]
-    return [SignedList(t) for c in range(0, len(els), CHUNK) for t in els[c : c + CHUNK].tolist()]
-
-
-def _canonical_order(rows: np.ndarray) -> np.ndarray:
-    """Each row sorted as make_list sorts: ascending |v|, negative first."""
-    return np.take_along_axis(rows, np.argsort(2 * np.abs(rows) + (rows > 0), axis=1), axis=1)
-
-
-def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of the rows of a that are lexicographically smaller than the
-    same rows of b."""
-    first = (a != b).argmax(axis=1)[:, None]
-    return np.take_along_axis(a, first, axis=1)[:, 0] < np.take_along_axis(b, first, axis=1)[:, 0]
+    rows = _rows(_Sweep((_Group(vals, length - 1),), test, vals), jobs)
+    rows = rows[rows[:, 0] < 0]
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return [SignedList(t) for c in range(0, len(rows), CHUNK) for t in rows[c : c + CHUNK].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -491,20 +475,13 @@ def _combine_sweep_9() -> list[SignedList]:
     at most one list to test.
     """
     b = make_list([1, -2, -3, 6])
-    s_b = b.total
-    out = []
-    c_entries = [e.list for e in small_norm_catalog(5, Fraction(13, 72)).entries]
-    for c in c_entries:
+    cands = []
+    for c in small_norm_catalog(5, Fraction(13, 72)).lists():
         for cc in (c, c.negate()):
-            s_c = cc.total
-            if s_c == 0:
-                continue
-            g = gcd(s_b, s_c)
-            B, C = -s_c // g, s_b // g
-            cand = concat(scale(b, B), scale(cc, C))
-            if cand.length == 9 and cand.total == 0 and cand.is_primitive() and norm(cand) == QUARTER:
-                out.append(cand)
-    return _dedup(out)
+            coefficients = forced_coefficients(b, cc)
+            if coefficients is not None:
+                cands.append(concat(scale(b, coefficients[0]), scale(cc, coefficients[1])))
+    return _dedup(a for a in cands if a.length == 9 and a.total == 0 and a.is_primitive() and norm(a) == QUARTER)
 
 
 # ---------------------------------------------------------------------------

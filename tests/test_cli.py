@@ -43,15 +43,28 @@ def test_check_failure_exit(capsys):
     assert json.loads(out)["integral"] is False
 
 
-def test_check_breakpoint_cap_is_usage_error(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "num, den, message",
+    [
+        ("1000000000,1000000000", "1999999999,1", "2999999997 breakpoints times 4 entries"),
+        # under 10^6 breakpoints, but each sums over 1400 entries
+        (
+            ",".join(map(str, range(1, 1400, 2))),
+            ",".join(map(str, [*range(2, 1400, 2), 700])),
+            "977901 breakpoints times 1400 entries",
+        ),
+    ],
+    ids=["large-entries", "many-entries"],
+)
+def test_check_breakpoint_cap_is_usage_error(capsys, monkeypatch, num, den, message):
     def no_scan(*args):
         raise AssertionError("a scan was started")
 
     monkeypatch.setattr("ratio_lab.cli.landau_min_max", no_scan)
     with pytest.raises(SystemExit) as exc:
-        run(["check", "--num", "1000000000,1000000000", "--den", "1999999999,1"])
+        run(["check", "--num", num, "--den", den])
     assert exc.value.code == 2
-    assert "2999999997 breakpoints to scan, above the cap of 10^6" in capsys.readouterr().err
+    assert f"{message}, above the cap of 2*10^6" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import prod
 
 import pytest
 
@@ -38,37 +37,6 @@ def test_formula_examples():
 def test_formula_matches_direct_norm():
     for N in range(1, 600):
         assert liouville_norm_formula(N) == norm(build_liouville(N).list), N
-
-
-def test_n_sub_k_divisor_counts():
-    # N_k = prod_{p<=k} p^r with r the largest integer such that
-    # r^pi(k) <= 2^k, so d(N_k) = (r+1)^pi(k) > 2^k; no upper bound
-    # 2^(k+1) holds (k = 5: d = 64, k = 7: d = 256)
-    for k in range(2, 13):
-        primes = [p for p in range(2, k + 1) if build_liouville_divisor_count(p) == 2]
-        pi = len(primes)
-        r = max(s for s in range(1, 2**k + 1) if s**pi <= 2**k)
-        N = n_sub_k(k)
-        assert N == prod(p**r for p in primes), k
-        d = build_liouville_divisor_count(N)
-        assert d == (r + 1) ** pi, (k, d)
-        assert r**pi <= 2**k < d, (k, d)
-
-
-def build_liouville_divisor_count(N):
-    d = 1
-    m = N
-    p = 2
-    while p * p <= m:
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        d *= e + 1
-        p += 1
-    if m > 1:
-        d *= 2
-    return d
 
 
 def test_probe_reports_upper_above_lower():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -7,6 +8,7 @@ from ratio_lab.integrality import family_membership
 from ratio_lab.lists import classify_type, involute, make_list, norm
 from ratio_lab.search import (
     GOLDEN_NAMES,
+    QUARTER_TEST,
     Catalog,
     SearchSpec,
     canonical_pair_key,
@@ -215,42 +217,50 @@ def _first_per_key(candidates, keep=lambda a: True):
     return [kept[k].elements for k in sorted(kept)]
 
 
-def _sum_zero_reference(modulus, length, order):
+def _sum_zero_reference(modulus, length):
     """Brute force with the representative rule of sum_zero_divisor_lists:
-    the candidates are the sum-zero multisets, each written as a tuple
-    sorted by `order`."""
+    the candidates are the sum-zero multisets, each written in support
+    order (|v|, then sign)."""
     combos = combinations_with_replacement(_signed_divisors(modulus), length)
-    return _first_per_key(tuple(sorted(c, key=order)) for c in combos if sum(c) == 0)
+    return _first_per_key(tuple(sorted(c, key=_support_order)) for c in combos if sum(c) == 0)
 
 
 @pytest.mark.parametrize(
-    "modulus, length, order",
-    [
-        # lengths <= 4 write each multiset in support order (|v|, then sign),
-        # lengths 5..7 in numeric order
-        (60, 4, lambda v: (abs(v), v > 0)),
-        (72, 5, None),
-        (120, 5, None),
-        (30, 6, None),
-        (72, 6, None),
-        (12, 7, None),
-        (18, 7, None),
-        (30, 7, None),
-    ],
+    "modulus, length", [(60, 4), (72, 5), (120, 5), (30, 6), (72, 6), (12, 7), (18, 7), (30, 7)]
 )
-def test_sum_zero_divisor_lists_representatives(modulus, length, order):
+def test_sum_zero_divisor_lists_representatives(modulus, length):
     ours = [a.elements for a in sum_zero_divisor_lists(modulus, length)]
-    assert ours == _sum_zero_reference(modulus, length, order)
+    assert ours == _sum_zero_reference(modulus, length)
 
 
-@pytest.mark.parametrize("modulus, length", [(72, 5), (120, 5), (30, 6), (12, 7), (30, 7)])
+@pytest.mark.parametrize("modulus, length", [(720, 3), (60, 4), (72, 5), (120, 5), (30, 6), (12, 7), (30, 7)])
 def test_sum_zero_divisor_lists_are_canonical(modulus, length):
-    # lengths 5..7 build their SignedLists without make_list
+    # every length builds its SignedLists without make_list, each the
+    # member of its +- pair that is its own key
     lists = sum_zero_divisor_lists(modulus, length)
     assert lists
     for a in lists:
         assert a == make_list(a.elements)
+        assert a.elements == canonical_pair_key(a)
         assert all(type(v) is int for v in a.elements)
+
+
+def test_canonical_pair_key_is_the_smaller_of_the_pair():
+    # reference: the smaller canonical tuple of a list and its negation
+    rng = random.Random(9)
+    lists = [e.list for name in GOLDEN_NAMES for e in load_golden(name).entries]
+    box = [v for v in range(-60, 61) if v]
+    lists += [make_list(rng.choices(box, k=rng.randint(1, 9))) for _ in range(20000)]
+    for a in lists:
+        assert canonical_pair_key(a) == min(a.elements, a.negate().elements), a
+
+
+def test_sum_zero_prefilter_keeps_quarter_keys():
+    # the kept member of each pair is the one that starts negative, so the
+    # float test must pass a row exactly when it passes its negation
+    quarter = keys(a for a in sum_zero_divisor_lists(1728, 7) if norm(a) == F(1, 4))
+    assert quarter
+    assert keys(a for a in sum_zero_divisor_lists(1728, 7, QUARTER_TEST) if norm(a) == F(1, 4)) == quarter
 
 
 def test_sum_zero_join_two_groups():

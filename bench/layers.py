@@ -1,16 +1,19 @@
 """Time the sum-zero enumeration, the classification and small-norm
-sweeps, the lower-bound table, max_separation and the Landau scan on
-fixed inputs.
+sweeps, the lower-bound table, max_separation, the Landau scan and the
+list shape rules (make_list, classify_type, family_membership) on fixed
+inputs.
 
     python3 bench/layers.py
 
 Runs each call in CALLS three times against this checkout's src/, in a
 child process of its own, and writes the medians and the child's peak
 RSS, with the machine (cores, Python, numpy), into BENCH_layers.json at
-the repository root.  The column is named after
-the checkout: its short commit, with "+worktree" when src/ differs from
-that commit.  Columns already in the file are kept, so running the
-script in two checkouts in turn puts their timings side by side.
+the repository root.  A call's inputs are built on first use, before its
+timed runs, so only the calls that read them pay for them.  The column
+is named after the checkout: its short commit, with "+worktree" when
+src/ differs from that commit.  Columns already in the file are kept,
+so running the script in two checkouts in turn puts their timings side
+by side.
 """
 
 from __future__ import annotations
@@ -19,11 +22,13 @@ import json
 import multiprocessing
 import os
 import platform
+import random
 import resource
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from statistics import median
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -32,8 +37,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 
 from ratio_lab.bounds import build_table  # noqa: E402
-from ratio_lab.integrality import RatioSpec, landau_min_max  # noqa: E402
-from ratio_lab.lists import make_list  # noqa: E402
+from ratio_lab.integrality import RatioSpec, family_membership, landau_min_max  # noqa: E402
+from ratio_lab.lists import classify_type, make_list  # noqa: E402
 from ratio_lab.search import (  # noqa: E402
     _type_a3_sweep_7,
     _type_a_sweep_9,
@@ -47,6 +52,7 @@ from ratio_lab.search import (  # noqa: E402
 from ratio_lab.separation import max_separation  # noqa: E402
 
 
+@cache
 def _triple_box():
     # the distinct primitive lists [x, y, z], 1 <= x <= 50, 0 < |y|, |z| <= 50,
     # that the acceptance suite's criterion 8 checks against support_bound
@@ -61,8 +67,32 @@ def _triple_box():
     return list(seen.values())
 
 
-TRIPLES = _triple_box()
-SPORADIC_SPECS = [RatioSpec.from_list(e.list) for n in (5, 7, 9) for e in load_golden(f"sporadic_length{n}").entries]
+@cache
+def _sporadic_specs():
+    return [RatioSpec.from_list(e.list) for n in (5, 7, 9) for e in load_golden(f"sporadic_length{n}").entries]
+
+
+@cache
+def _shape_inputs():
+    # 100 000 raw lists from random.Random(0), of length 1..9 with entries in
+    # +-1..60, then the primitive odd-length sum-zero lists among 20 000 more,
+    # each closed by minus its sum
+    rng = random.Random(0)
+
+    def raw():
+        return [rng.choice((-1, 1)) * rng.randint(1, 60) for _ in range(rng.randint(1, 9))]
+
+    raws = [raw() for _ in range(100000)]
+    closed = [make_list(r + [-sum(r)]) for r in (raw() for _ in range(20000)) if sum(r)]
+    return raws, [a for a in closed if a.length % 2 and a.is_primitive()]
+
+
+def _shape_rules():
+    raws, sum_zero = _shape_inputs()
+    lists = [make_list(r) for r in raws]
+    return [classify_type(a) for a in lists if a.length], [family_membership(a) for a in sum_zero]
+
+
 CHEBYSHEV_1000 = RatioSpec(numerator=(30000, 1000), denominator=(15000, 10000, 6000))
 
 CALLS = {
@@ -85,9 +115,16 @@ CALLS = {
     "small_norm_catalog(8, 8/45)": lambda: small_norm_catalog(8, Fraction(8, 45)),
     "build_table(128, 3)": lambda: build_table(128, 3),
     "build_table(256, 3)": lambda: build_table(256, 3),
-    "max_separation(criterion 8 triple box)": lambda: [max_separation(a) for a in TRIPLES],
-    "landau_min_max(52 sporadic specs)": lambda: [landau_min_max(r) for r in SPORADIC_SPECS],
+    "max_separation(criterion 8 triple box)": lambda: [max_separation(a) for a in _triple_box()],
+    "landau_min_max(52 sporadic specs)": lambda: [landau_min_max(r) for r in _sporadic_specs()],
     "landau_min_max(1000 x Chebyshev)": lambda: landau_min_max(CHEBYSHEV_1000),
+    "shape rules": _shape_rules,
+}
+# the inputs a call reads, built before its timed runs
+INPUTS = {
+    "max_separation(criterion 8 triple box)": _triple_box,
+    "landau_min_max(52 sporadic specs)": _sporadic_specs,
+    "shape rules": _shape_inputs,
 }
 RUNS = 3
 
@@ -103,6 +140,8 @@ def _column() -> str:
 def _measure(name: str) -> dict:
     """Run one call RUNS times; the peak RSS is this process's, a fresh
     interpreter that has imported this module."""
+    if name in INPUTS:
+        INPUTS[name]()
     runs = []
     for _ in range(RUNS):
         start = time.perf_counter()

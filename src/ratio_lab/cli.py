@@ -17,7 +17,10 @@ takes about 2.5 s on a 2-core machine); other values are usage errors.
 check scans v - 1 breakpoints for each distinct entry v and sums over
 every entry at each, so more than 2*10^6 breakpoints times entries is a
 usage error.  separate without --k lists every k that
-has a witness, from the divisors of the split coefficients.
+has a witness, from the divisors of the split coefficients; it walks
+2^(n-1) - 1 splits of an n-entry list with or without --k, so a --list
+of more than 18 entries is a usage error.  liouville --probe K takes K
+from 2 to 256 (N_256 has 2621 digits); other values are usage errors.
 """
 
 from __future__ import annotations
@@ -303,6 +306,10 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "liouville" and (args.N is None) == (args.probe is None):
         parser.error("liouville needs exactly one of --N or --probe")
+    if args.command == "liouville" and args.probe is not None and not 2 <= args.probe <= 256:
+        parser.error(f"--probe must be between 2 and 256, got {args.probe}")
+    if args.command == "separate" and len(args.list) > 18:
+        parser.error(f"--list has {len(args.list)} entries, above the cap of 18 (the split walk doubles with each entry)")
     if args.command == "classify":
         cpus = os.cpu_count() or 1
         if not 1 <= args.jobs <= cpus:

@@ -82,11 +82,9 @@ class RatioSpec:
 
 
 def to_list(r: RatioSpec) -> SignedList:
-    """The signed list [a_1..a_K, -b_1..-b_L]; its sum is zero."""
-    a = make_list(list(r.numerator) + [-b for b in r.denominator])
-    if a.length != r.K + r.L:
-        raise ValueError("spec has cancelling entries")
-    return a
+    """The signed list [a_1..a_K, -b_1..-b_L]; its sum is zero, and no
+    entry cancels, since a spec shares none between its sides."""
+    return make_list(list(r.numerator) + [-b for b in r.denominator])
 
 
 def landau_min_max(r: RatioSpec) -> tuple[int, int]:
@@ -174,17 +172,15 @@ def _match_type_a_family(values) -> tuple[int, int] | None:
 def family_membership(a: SignedList) -> str:
     """Tag a primitive odd-length sum-zero list as 'family1'/'family2'/
     'family3' (one of the three infinite families of integral ratios,
-    up to global sign) or 'sporadic'."""
+    up to global sign) or 'sporadic'.  Every triple is [a+b, -a, -b] up
+    to sign (one entry's sign is shared by no other), so 'family1'; a
+    length-5 list is 'family2' or 'family3' when it matches [2a, 2b, -a,
+    -b, -(a+b)], a shape closed under negation, so one match decides."""
     if a.length % 2 == 0 or a.total != 0 or not a.is_primitive():
         raise ValueError("need a primitive odd-length sum-zero list")
-    for candidate in (a.elements, tuple(-e for e in a.elements)):
-        if len(candidate) == 3:
-            # [a+b, -a, -b]: any sum-zero triple with one positive entry
-            if sum(1 for v in candidate if v > 0) == 1:
-                return "family1"
-        if len(candidate) == 5:
-            match = _match_type_a_family(candidate)
-            if match is not None:
-                fa, fb = match
-                return "family2" if fa * fb > 0 else "family3"
-    return "sporadic"
+    if a.length == 3:
+        return "family1"
+    match = _match_type_a_family(a.elements) if a.length == 5 else None
+    if match is None:
+        return "sporadic"
+    return "family2" if match[0] * match[1] > 0 else "family3"

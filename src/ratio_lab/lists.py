@@ -5,9 +5,9 @@ a(x) = sum_j psi(a_j x) with psi(t) = 1/2 - {t}, and the norm
 
     N(a) = integral_0^1 a(x)^2 dx = (1/12) sum_{i,j} gcd(a_i, a_j)^2 / (a_i a_j).
 
-Lists are kept canonical (ascending |value|, negative before positive at
-equal |value|) and non-degenerate (no value appears together with its
-negative).  All arithmetic is exact, via fractions.Fraction.
+Lists are kept canonical (ascending |value|) and non-degenerate (no value
+appears together with its negative).  All arithmetic is exact, via
+fractions.Fraction.
 
 Reference norms: N([1,-2]) = 1/12, N([1,-2,4]) = 1/8, N([4,-6,9]) = 43/216,
 N([1,-2,-3,6]) = 1/9, N([1,-6,-10,-15,30]) = 1/4.
@@ -39,19 +39,13 @@ __all__ = [
 HALF = Fraction(1, 2)
 
 
-def _canonical_key(a: int) -> tuple[int, int]:
-    # ascending |value|; negative before positive at equal |value|
-    return (abs(a), 0 if a < 0 else 1)
-
-
 class SignedList:
     """Immutable canonical non-degenerate list of nonzero integers."""
 
     __slots__ = ("elements",)
 
     def __init__(self, elements: tuple[int, ...]):
-        # Private-ish constructor: callers go through make_list, which
-        # cancels degeneracies and sorts.  We only sanity-check here.
+        # callers go through make_list, which cancels and sorts
         object.__setattr__(self, "elements", tuple(elements))
 
     def __setattr__(self, name, value):
@@ -102,34 +96,18 @@ class SignedList:
 
 
 def make_list(raw: Iterable[int]) -> SignedList:
-    """Canonicalize: reject zeros, cancel (a, -a) pairs, sort canonically."""
-    counts = Counter()
+    """Canonicalize: reject zeros, keep one net count per |v| (copies of
+    v minus copies of -v) and emit the survivors by ascending |v|."""
+    net: dict[int, int] = {}
     for a in raw:
         if a == 0:
             raise ValueError("list elements must be nonzero")
-        counts[a] += 1
-    out: list[int] = []
-    for v in {abs(a) for a in counts}:
-        c_pos = counts.get(v, 0)
-        c_neg = counts.get(-v, 0)
-        if c_pos > c_neg:
-            out.extend([v] * (c_pos - c_neg))
-        elif c_neg > c_pos:
-            out.extend([-v] * (c_neg - c_pos))
-    out.sort(key=_canonical_key)
-    return SignedList(tuple(out))
+        v = abs(a)
+        net[v] = net.get(v, 0) + (1 if a > 0 else -1)
+    return SignedList(tuple(v if c > 0 else -v for v, c in sorted(net.items()) for _ in range(abs(c))))
 
 
-def _require_nonempty(a: SignedList, empty_ok: bool) -> bool:
-    """Returns True if the caller should just use 0 for the empty list."""
-    if a.length == 0:
-        if empty_ok:
-            return True
-        raise ValueError("norm of empty list (pass empty_ok=True for 0)")
-    return False
-
-
-def norm(a: SignedList, *, empty_ok: bool = False) -> Fraction:
+def norm(a: SignedList) -> Fraction:
     """N(a) via the exact gcd double sum, accumulated in integers.
 
     Over L = lcm(|a_i|) each cross term gcd(a_i, a_j)^2 / (a_i a_j) is
@@ -137,10 +115,10 @@ def norm(a: SignedList, *, empty_ok: bool = False) -> Fraction:
 
         N = (n L^2 + 2 sum_{i<j} gcd(a_i, a_j)^2 (L/a_i)(L/a_j)) / (12 L^2)
 
-    and only the final quotient is a Fraction.
+    and only the final quotient is a Fraction; the empty list raises ValueError.
     """
-    if _require_nonempty(a, empty_ok):
-        return Fraction(0)
+    if a.length == 0:
+        raise ValueError("norm of the empty list")
     els = a.elements
     n = len(els)
     big = lcm(*els)
@@ -166,7 +144,7 @@ def evaluate(a: SignedList, x: Fraction) -> Fraction:
     return sum((psi(aj * x) for aj in a.elements), Fraction(0))
 
 
-def norm_by_integration(a: SignedList, *, empty_ok: bool = False) -> Fraction:
+def norm_by_integration(a: SignedList) -> Fraction:
     """N(a) = integral_0^1 a(x)^2 dx via the step-function form, exact.
 
     Away from breakpoints a(x) = C(x) - s*x with C(x) = L/2 + sum_j
@@ -182,10 +160,10 @@ def norm_by_integration(a: SignedList, *, empty_ok: bool = False) -> Fraction:
 
     The breakpoints m/|a_j| are ordered by their float values, which is
     exact while distinct ones, at least 1/max|a_j|^2 apart, stay more
-    than 2^-52 apart; larger entries raise ValueError.
+    than 2^-52 apart; larger entries and the empty list raise ValueError.
     """
-    if _require_nonempty(a, empty_ok):
-        return Fraction(0)
+    if a.length == 0:
+        raise ValueError("norm of the empty list")
     if max(abs(e) for e in a.elements) >= 2**26:
         raise ValueError("norm_by_integration needs every |entry| < 2^26")
     s = a.total
@@ -254,37 +232,20 @@ def concat(a: SignedList, b: SignedList) -> SignedList:
 
 def classify_type(a: SignedList) -> Literal["A", "B"]:
     """Type A iff the multiset splits into (t, -2t) couples, plus one
-    unpaired element when the length is odd; otherwise Type B."""
+    unpaired element when the length is odd; otherwise Type B.  Couples
+    link t to -2t, so the values form chains t, -2t, 4t, ... on which
+    greedy pairing from the small end is a maximum matching: by ascending
+    |t|, pair min(count t, count -2t) copies; more than length % 2
+    unpaired copies make Type B.  The empty list raises ValueError."""
     if a.length == 0:
         raise ValueError("cannot classify the empty list")
-    counts = Counter(a.elements)
-    leftover_allowed = a.length % 2 == 1
-    if _match_pairs(counts, leftover_allowed):
-        return "A"
-    return "B"
-
-
-def _match_pairs(counts: Counter, leftover_allowed: bool) -> bool:
-    # Backtracking on the smallest remaining |value|: it can only be the
-    # small half of a couple (paired with -2x) or the single leftover.
-    remaining = [a for a, c in counts.items() if c > 0]
-    if not remaining:
-        return True
-    x = min(remaining, key=_canonical_key)
-    options = []
-    if counts.get(-2 * x, 0) > 0:
-        options.append("pair")
-    if leftover_allowed:
-        options.append("leftover")
-    for opt in options:
-        counts[x] -= 1
-        if opt == "pair":
-            counts[-2 * x] -= 1
-            ok = _match_pairs(counts, leftover_allowed)
-            counts[-2 * x] += 1
-        else:
-            ok = _match_pairs(counts, False)
-        counts[x] += 1
-        if ok:
-            return True
-    return False
+    counts = Counter(a.elements)  # keys in canonical order, by ascending |t|
+    unpaired = 0
+    for t, c in counts.items():
+        paired = min(c, counts.get(-2 * t, 0))
+        if paired:
+            counts[-2 * t] -= paired
+        unpaired += c - paired
+        if unpaired > a.length % 2:
+            return "B"
+    return "A"

@@ -177,7 +177,7 @@ def check_decomposition(
     nb = norm(w.b_part)
     nc = norm(w.c_part)
     merged = concat(w.reduced_b, w.reduced_c)
-    n_merged = norm(merged, empty_ok=True)
+    n_merged = norm(merged) if merged.length else Fraction(0)
     k = Fraction(w.k)
     if norm(a) != (1 - 1 / k) * (nb + nc) + n_merged / k:
         raise ValueError("norm decomposition identity failed")

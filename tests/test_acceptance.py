@@ -7,6 +7,8 @@ No upper bound d(N_k) < 2^(k+1) holds for this construction: it fails
 at k = 5 and k = 7 for every integer exponent.
 """
 
+import json
+import os
 import random
 import time
 from fractions import Fraction
@@ -29,6 +31,7 @@ from ratio_lab.liouville import (
 )
 from ratio_lab.search import (
     canonical_pair_key,
+    catalog_dir,
     classify_length,
     load_golden,
     small_norm_catalog,
@@ -91,6 +94,12 @@ def test_criterion_3_closed_form():
             assert table.gr[1][n] == direct
 
 
+def _golden_json(name: str) -> dict:
+    """A golden catalog file as stored: representatives, order and note."""
+    with open(os.path.join(catalog_dir(), f"{name}.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def test_criterion_4_classification_regression():
     cats = {}
     for length, count in ((5, 29), (7, 21), (9, 2)):
@@ -99,6 +108,7 @@ def test_criterion_4_classification_regression():
         assert len(cats[length].entries) == count, (length, len(cats[length].entries))
         report = verify_catalog(cats[length], load_golden(f"sporadic_length{length}"))
         assert report.ok, report
+        assert cats[length].to_json() == _golden_json(f"sporadic_length{length}"), length
         assert time.time() - start < 1800, length
     nine = {tuple(e.list.elements) for e in cats[9].entries}
     expected = {
@@ -110,6 +120,7 @@ def test_criterion_4_classification_regression():
 
 def test_criterion_5_small_norm_lemmas():
     four = small_norm_catalog(4, F(11, 60))
+    assert four.to_json() == _golden_json("small_norm_length4")
     sweep_part = [e for e in four.entries if all(1728 % abs(v) == 0 for v in e.list.elements)]
     assert len(sweep_part) == 19
     dist = {}
@@ -119,6 +130,7 @@ def test_criterion_5_small_norm_lemmas():
     assert canonical_pair_key(make_list([1, -3, -5, 15])) in four.keys()
 
     six = small_norm_catalog(6, F(7, 36))
+    assert six.to_json() == _golden_json("small_norm_length6")
     assert six.keys() == {
         canonical_pair_key(make_list([1, -2, -3, 4, 6, -12])),
         canonical_pair_key(make_list([1, -2, -3, 6, 8, -24])),

@@ -67,6 +67,33 @@ def test_check_breakpoint_cap_is_usage_error(capsys, monkeypatch, num, den, mess
     assert f"{message}, above the cap of 2*10^6" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [None, "2"])
+def test_separate_entry_cap_is_usage_error(capsys, monkeypatch, k):
+    def no_walk(*args):
+        raise AssertionError("a split walk was started")
+
+    monkeypatch.setattr("ratio_lab.cli.separation_orders", no_walk)
+    monkeypatch.setattr("ratio_lab.cli.find_separations", no_walk)
+    argv = ["separate", "--list", ",".join(map(str, range(1, 39, 2)))]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + (["--k", k] if k else []))
+    assert exc.value.code == 2
+    assert "--list has 19 entries, above the cap of 18" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["1", "257", "100000"])
+def test_liouville_probe_cap_is_usage_error(capsys, monkeypatch, k):
+    def no_probe(*args):
+        raise AssertionError("a probe was started")
+
+    monkeypatch.setattr("ratio_lab.cli.asymptotic_ratio_probe", no_probe)
+    monkeypatch.setattr("ratio_lab.cli.n_sub_k", no_probe)
+    with pytest.raises(SystemExit) as exc:
+        run(["liouville", "--probe", k])
+    assert exc.value.code == 2
+    assert f"--probe must be between 2 and 256, got {k}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

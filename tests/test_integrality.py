@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial, gcd
 
 import pytest
@@ -219,3 +221,52 @@ def test_family_membership():
     assert family_membership(make_list([4, 6, -2, -3, -5])) == "family2"
     assert family_membership(make_list([6, 1, -3, -2, -2])) == "family3"
     assert family_membership(make_list([1, -6, -10, -15, 30])) == "sporadic"
+
+
+def _match_type_a_family(values):
+    # the matcher the reference below calls, as it was alongside it
+    target = tuple(sorted(values))
+    candidates = sorted({-v for v in values})
+    for a in candidates:
+        for b in candidates:
+            if a + b == 0 or gcd(a, b) != 1:
+                continue
+            if tuple(sorted([2 * a, 2 * b, -a, -b, -(a + b)])) == target:
+                return (a, b)
+    return None
+
+
+def _reference_family_membership(a) -> str:
+    # the family test before it dropped the retry on the negated list;
+    # kept verbatim as the reference the current code must match
+    if a.length % 2 == 0 or a.total != 0 or not a.is_primitive():
+        raise ValueError("need a primitive odd-length sum-zero list")
+    for candidate in (a.elements, tuple(-e for e in a.elements)):
+        if len(candidate) == 3:
+            # [a+b, -a, -b]: any sum-zero triple with one positive entry
+            if sum(1 for v in candidate if v > 0) == 1:
+                return "family1"
+        if len(candidate) == 5:
+            match = _match_type_a_family(candidate)
+            if match is not None:
+                fa, fb = match
+                return "family2" if fa * fb > 0 else "family3"
+    return "sporadic"
+
+
+def test_family_membership_matches_reference():
+    # every primitive sum-zero list of length 3 and 5 over +-1..12
+    values = [v for v in range(-12, 13) if v]
+    tags = Counter()
+    for n in (3, 5):
+        for raw in combinations_with_replacement(values, n):
+            if sum(raw) != 0:
+                continue
+            a = make_list(raw)
+            if a.length != n or not a.is_primitive():
+                continue
+            tag = family_membership(a)
+            assert tag == _reference_family_membership(a), raw
+            assert to_list(RatioSpec.from_list(a)) in (a, a.negate())  # nothing cancels
+            tags[tag] += 1
+    assert min(tags[t] for t in ("family1", "family2", "family3", "sporadic")) > 0, tags

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -66,8 +68,8 @@ def test_norm_empty_list():
     empty = make_list([1, -1])
     with pytest.raises(ValueError):
         norm(empty)
-    assert norm(empty, empty_ok=True) == 0
-    assert norm_by_integration(empty, empty_ok=True) == 0
+    with pytest.raises(ValueError):
+        norm_by_integration(empty)
 
 
 def test_integration_oracle_small_cases():
@@ -181,6 +183,99 @@ def test_classify_type():
     # even length: no leftover allowed
     assert classify_type(make_list([1, -2, 5])) == "A"
     assert classify_type(make_list([1, -2, 5, 7])) == "B"
+
+
+# The canonicaliser and the backtracking type test that make_list and
+# classify_type ran before they decided list shapes by counting.  Kept
+# verbatim as the reference the current code must match.
+
+
+def _canonical_key(a: int) -> tuple[int, int]:
+    # ascending |value|; negative before positive at equal |value|
+    return (abs(a), 0 if a < 0 else 1)
+
+
+def _reference_make_list(raw) -> SignedList:
+    """Canonicalize: reject zeros, cancel (a, -a) pairs, sort canonically."""
+    counts = Counter()
+    for a in raw:
+        if a == 0:
+            raise ValueError("list elements must be nonzero")
+        counts[a] += 1
+    out: list[int] = []
+    for v in {abs(a) for a in counts}:
+        c_pos = counts.get(v, 0)
+        c_neg = counts.get(-v, 0)
+        if c_pos > c_neg:
+            out.extend([v] * (c_pos - c_neg))
+        elif c_neg > c_pos:
+            out.extend([-v] * (c_neg - c_pos))
+    out.sort(key=_canonical_key)
+    return SignedList(tuple(out))
+
+
+def _reference_classify_type(a: SignedList):
+    """Type A iff the multiset splits into (t, -2t) couples, plus one
+    unpaired element when the length is odd; otherwise Type B."""
+    if a.length == 0:
+        raise ValueError("cannot classify the empty list")
+    counts = Counter(a.elements)
+    leftover_allowed = a.length % 2 == 1
+    if _match_pairs(counts, leftover_allowed):
+        return "A"
+    return "B"
+
+
+def _match_pairs(counts: Counter, leftover_allowed: bool) -> bool:
+    # Backtracking on the smallest remaining |value|: it can only be the
+    # small half of a couple (paired with -2x) or the single leftover.
+    remaining = [a for a, c in counts.items() if c > 0]
+    if not remaining:
+        return True
+    x = min(remaining, key=_canonical_key)
+    options = []
+    if counts.get(-2 * x, 0) > 0:
+        options.append("pair")
+    if leftover_allowed:
+        options.append("leftover")
+    for opt in options:
+        counts[x] -= 1
+        if opt == "pair":
+            counts[-2 * x] -= 1
+            ok = _match_pairs(counts, leftover_allowed)
+            counts[-2 * x] += 1
+        else:
+            ok = _match_pairs(counts, False)
+        counts[x] += 1
+        if ok:
+            return True
+    return False
+
+
+def _reference_lists():
+    """Every multiset of length 1..4 over +-1..12, then seeded random raw
+    lists: entries in +-1..60, and t * (-2)^k chains with repeated values."""
+    values = [v for v in range(-12, 13) if v]
+    for n in range(1, 5):
+        yield from combinations_with_replacement(values, n)
+    rng = random.Random(10)
+    for _ in range(20000):
+        yield [rng.choice((-1, 1)) * rng.randint(1, 60) for _ in range(rng.randint(1, 9))]
+    for _ in range(20000):
+        t = rng.choice((-1, 1)) * rng.randint(1, 9)
+        yield [t * (-2) ** rng.randint(0, 5) for _ in range(rng.randint(1, 9))]
+
+
+def test_shape_rules_match_reference():
+    type_b = 0
+    for raw in _reference_lists():
+        a = make_list(raw)
+        assert a.elements == _reference_make_list(raw).elements, raw
+        if a.length:
+            kind = classify_type(a)
+            assert kind == _reference_classify_type(a), raw
+            type_b += kind == "B"
+    assert type_b > 10000
 
 
 def test_odd_sum_zero_norm_at_least_quarter():

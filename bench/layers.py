@@ -109,8 +109,10 @@ CALLS = {
     "_type_a3_sweep_7()": lambda: _type_a3_sweep_7(),
     "_type_a_sweep_9()": lambda: _type_a_sweep_9(),
     "family_search_5()": lambda: family_search_5(),
+    "small_norm_catalog(3, 1/7)": lambda: small_norm_catalog(3, Fraction(1, 7)),
     "small_norm_catalog(4, 11/60)": lambda: small_norm_catalog(4, Fraction(11, 60)),
     "small_norm_catalog(5, 31/168)": lambda: small_norm_catalog(5, Fraction(31, 168)),
+    "small_norm_catalog(6, 7/36)": lambda: small_norm_catalog(6, Fraction(7, 36)),
     "small_norm_catalog(7, 5/24)": lambda: small_norm_catalog(7, Fraction(5, 24)),
     "small_norm_catalog(8, 8/45)": lambda: small_norm_catalog(8, Fraction(8, 45)),
     "build_table(128, 3)": lambda: build_table(128, 3),

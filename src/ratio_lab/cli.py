@@ -193,15 +193,16 @@ def _cmd_small_norm(args) -> int:
 def _cmd_liouville(args) -> int:
     if args.probe is not None:
         upper, lower = asymptotic_ratio_probe(args.probe)
+        n_k = n_sub_k(args.probe)
         payload = {
             "k": args.probe,
-            "N_k": str(n_sub_k(args.probe)),
+            "N_k": str(n_k),
             "upper": _frac(upper),
             "lower": _frac(lower),
             "ratio": float(upper / lower),
         }
         lines = [
-            f"k={args.probe}  N_k={n_sub_k(args.probe)}",
+            f"k={args.probe}  N_k={n_k}",
             f"upper {_frac(upper)}  lower {_frac(lower)}  ratio {float(upper / lower):.6f}",
         ]
         _emit(args, payload, lines)

@@ -160,12 +160,15 @@ def norm_by_integration(a: SignedList) -> Fraction:
 
     The breakpoints m/|a_j| are ordered by their float values, which is
     exact while distinct ones, at least 1/max|a_j|^2 apart, stay more
-    than 2^-52 apart; larger entries and the empty list raise ValueError.
+    than 2^-52 apart, so while every |a_j| < 2^26.  The empty list and
+    over 2^21 breakpoints (sum |a_j| - 1, which keeps |a_j| < 2^26 and
+    the arrays below about 0.5 GB) raise ValueError.
     """
     if a.length == 0:
         raise ValueError("norm of the empty list")
-    if max(abs(e) for e in a.elements) >= 2**26:
-        raise ValueError("norm_by_integration needs every |entry| < 2^26")
+    points = sum(abs(e) - 1 for e in a.elements)
+    if points > 2**21:
+        raise ValueError(f"norm_by_integration takes at most 2^21 breakpoints (sum of |entry| - 1), got {points}")
     s = a.total
     pos = sum(1 for e in a.elements if e > 0)
     u1 = a.length + 2 * s - 2 * pos

@@ -18,12 +18,13 @@ predicate.  The engine is one sorted join: each head of parameters takes
 one searchsorted range of the sorted tail rows, so only rows that can
 hit are visited, each multiset once, and their float norms come from
 cross-term tables.  `_live_rows` drops degenerate and non-primitive
-rows, `_confirm` decides the rest exactly, and `_dedup` identifies lists
-up to permutation and global sign flip.  One rule names a +- pair: of a
-list and its negation, the one whose canonical tuple starts negative
-(`canonical_pair_key`); `sum_zero_divisor_lists` keeps just that member
-at every length.  The float test only prunes: every sweep checks that
-the error bound of `_prefilter_error` is below FLOAT_TOL.
+rows, `_confirm` decides the rest exactly, and a sweep returns one list
+per +- pair (`_dedup`, up to permutation and global sign flip).  One
+rule names a pair: of a list and its negation, the one whose canonical
+tuple starts negative (`canonical_pair_key`); `sum_zero_divisor_lists`
+keeps just that member at every length.  The float test only prunes:
+every sweep checks that the error bound of `_prefilter_error` is below
+FLOAT_TOL.
 """
 
 from __future__ import annotations
@@ -45,10 +46,8 @@ from ratio_lab.lists import SignedList, classify_type, concat, make_list, norm, 
 from ratio_lab.separation import PRESET_MODULI, forced_coefficients
 
 __all__ = [
-    "SearchSpec",
     "Catalog",
     "CatalogEntry",
-    "enumerate_lists",
     "family_search_5",
     "divisor_sweep_5",
     "sum_zero_divisor_lists",
@@ -371,9 +370,10 @@ def _rows(sweep: _Sweep, jobs: int = 1) -> np.ndarray:
 
 def _confirm(sweep: _Sweep, keep, jobs: int = 1) -> list[SignedList]:
     """The exact step: build each distinct row of the sweep (_rows) once,
-    in sorted order, and keep the lists passing `keep`."""
+    in sorted order, keep the lists passing `keep`, and return the first
+    of each +- pair (_dedup)."""
     rows = sorted(set(map(tuple, _rows(sweep, jobs).tolist())))
-    return [a for a in map(make_list, rows) if keep(a)]
+    return _dedup(a for a in map(make_list, rows) if keep(a))
 
 
 def _is_quarter(a: SignedList) -> bool:
@@ -391,7 +391,7 @@ def family_search_5(a_bound: int = 108, b_bound: int = 72) -> list[SignedList]:
     norm-1/4 member of this family to |a| <= 108, |b| <= 72.
     """
     sweep = _Sweep((_Group(_box(a_bound), 1, (1, -2)), _Group(_box(b_bound), 1, (1, -3))), QUARTER_TEST, True)
-    return _dedup(_confirm(sweep, lambda a: _is_quarter(a) and family_membership(a) == "sporadic"))
+    return _confirm(sweep, lambda a: _is_quarter(a) and family_membership(a) == "sporadic")
 
 
 def divisor_sweep_5(modulus: int | None = None, jobs: int = 1) -> list[SignedList]:
@@ -404,7 +404,7 @@ def divisor_sweep_5(modulus: int | None = None, jobs: int = 1) -> list[SignedLis
     if modulus is None:
         modulus = PRESET_MODULI["length5_sum0_four_elements"]
     sweep = _Sweep((_Group(_signed_divisors(modulus), 4),), QUARTER_TEST, True)
-    return _dedup(_confirm(sweep, _is_quarter, jobs))
+    return _confirm(sweep, _is_quarter, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +437,7 @@ def _type_a_sweep_7(jobs: int = 1) -> list[SignedList]:
     2^6*3^2*5^2*7^2 (the at-most-7-separated sum-zero support)."""
     M = PRESET_MODULI["type_a_sum0_length7"]
     sweep = _Sweep((_Group(_signed_divisors(M // 2), 3, (1, -2)),), QUARTER_TEST, _signed_divisors(M))
-    return _dedup(_confirm(sweep, _is_quarter, jobs))
+    return _confirm(sweep, _is_quarter, jobs)
 
 
 def _type_a3_sweep_7(jobs: int = 1) -> list[SignedList]:
@@ -445,7 +445,7 @@ def _type_a3_sweep_7(jobs: int = 1) -> list[SignedList]:
     (the plain at-most-5-separated support; sound but not sharp)."""
     M = 2**12 * 3**6 * 5**6
     groups = (_Group(_signed_divisors(M // 2), 2, (1, -2)), _Group(_signed_divisors(M // 3), 1, (1, -3)))
-    return _dedup(_confirm(_Sweep(groups, QUARTER_TEST, _signed_divisors(M)), _is_quarter, jobs))
+    return _confirm(_Sweep(groups, QUARTER_TEST, _signed_divisors(M)), _is_quarter, jobs)
 
 
 def _type_b_sweep_7(jobs: int = 1) -> list[SignedList]:
@@ -464,7 +464,7 @@ def _type_a_sweep_9(jobs: int = 1) -> list[SignedList]:
     2^16*3^8 (the plain at-most-4-separated support for length 9)."""
     M = 2**16 * 3**8
     sweep = _Sweep((_Group(_signed_divisors(M // 2), 4, (1, -2)),), QUARTER_TEST, _signed_divisors(M))
-    return _dedup(_confirm(sweep, _is_quarter, jobs))
+    return _confirm(sweep, _is_quarter, jobs)
 
 
 def _combine_sweep_9() -> list[SignedList]:
@@ -718,58 +718,6 @@ def d2_family_probe(a_range=range(1, 6), b_range=range(1, 6)) -> dict:
             results["integral"] += ok
             results["cases"].append({"a": a, "b": b, "list": list(lst.elements), "integral": ok})
     return results
-
-
-# ---------------------------------------------------------------------------
-# generic enumeration (small search specs)
-
-
-@dataclass(frozen=True)
-class SearchSpec:
-    length: int
-    constraint: str = "none"  # "none" | "sum_zero"
-    support_modulus: int | None = None
-    box: int | None = None
-    norm_threshold: Fraction | None = None
-    strict: bool = True
-    type_filter: str | None = None  # "A" (pairable) / "B" or None
-    norm_equals: Fraction | None = None
-
-    def __post_init__(self):
-        if self.support_modulus is None and self.box is None:
-            raise ValueError("need a support modulus or a box bound for finiteness")
-        if self.constraint not in ("none", "sum_zero"):
-            raise ValueError("constraint must be 'none' or 'sum_zero'")
-
-
-def enumerate_lists(spec: SearchSpec):
-    """Yield (list, norm) for every primitive non-degenerate list meeting
-    the spec, once per canonical form, in canonical order (ascending
-    |value|, negative first, element by element)."""
-    vals = _box(spec.box) if spec.support_modulus is None else _signed_divisors(spec.support_modulus)
-    if spec.box is not None:
-        vals = tuple(v for v in vals if abs(v) <= spec.box)
-    # with the sum-zero constraint the last element is solved, in the support
-    count, solved = (spec.length - 1, vals) if spec.constraint == "sum_zero" else (spec.length, False)
-    test = None
-    if spec.norm_equals is not None:
-        test = ("eq", float(spec.norm_equals))
-    elif spec.norm_threshold is not None:
-        test = ("le", float(spec.norm_threshold))
-
-    def keep(a: SignedList) -> bool:
-        if spec.type_filter is not None and classify_type(a) != spec.type_filter:
-            return False
-        nv = norm(a)
-        if spec.norm_equals is not None and nv != spec.norm_equals:
-            return False
-        if spec.norm_threshold is not None:
-            return nv < spec.norm_threshold if spec.strict else nv <= spec.norm_threshold
-        return True
-
-    found = {a.elements: a for a in _confirm(_Sweep((_Group(vals, count),), test, solved), keep)}
-    for elements in sorted(found, key=lambda els: [(abs(v), v > 0) for v in els]):
-        yield found[elements], norm(found[elements])
 
 
 # ---------------------------------------------------------------------------

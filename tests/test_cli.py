@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from ratio_lab.cli import run
+from ratio_lab.lists import make_list, norm
 
 
 def invoke(capsys, *argv):
@@ -230,6 +231,16 @@ def test_catalog_verify(capsys):
     data = json.loads(out)
     assert data["catalogs"][0]["ok"] is True
     assert data["catalogs"][0]["entries"] == 2
+
+
+def test_catalog_past_breakpoint_cap_is_usage_error(tmp_path, monkeypatch, capsys):
+    # verifying [3, 2^21 + 1] takes its integration norm, with 2 + 2^21 breakpoints
+    a = make_list([3, 2**21 + 1])
+    entry = {"list": a.to_json(), "norm": f"{norm(a).numerator}/{norm(a).denominator}"}
+    (tmp_path / "sporadic_length9.json").write_text(json.dumps({"name": "sporadic_length9", "entries": [entry]}))
+    monkeypatch.setenv("RATIO_LAB_CATALOG_DIR", str(tmp_path))
+    assert run(["catalog", "--name", "sporadic_length9"]) == 2
+    assert "breakpoints" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

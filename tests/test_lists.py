@@ -85,6 +85,9 @@ def test_integration_norm_large_entries():
     # past 2^26 the float order of the breakpoints is no longer exact
     with pytest.raises(ValueError):
         norm_by_integration(make_list([1, 2**26]))
+    # 2 + 2^21 breakpoints, past the cap: refused before any allocation
+    with pytest.raises(ValueError, match="breakpoints"):
+        norm_by_integration(make_list([3, 2**21 + 1]))
 
 
 @settings(max_examples=150, deadline=None)

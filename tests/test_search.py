@@ -4,17 +4,16 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import ratio_lab.search as search
 from ratio_lab.integrality import family_membership
 from ratio_lab.lists import classify_type, involute, make_list, norm
 from ratio_lab.search import (
     GOLDEN_NAMES,
     QUARTER_TEST,
     Catalog,
-    SearchSpec,
     canonical_pair_key,
     d2_family_probe,
     divisor_sweep_5,
-    enumerate_lists,
     family_search_5,
     load_golden,
     small_norm_catalog,
@@ -45,76 +44,6 @@ def test_family_search_5_box_widening_adds_nothing():
     assert widened == base
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        SearchSpec(length=3, support_modulus=12),
-        # 1/6 is attained: the strict cut keeps 6 lists, the non-strict 24
-        SearchSpec(length=4, support_modulus=12, norm_threshold=F(1, 6)),
-        SearchSpec(length=4, support_modulus=12, norm_threshold=F(1, 6), strict=False),
-        SearchSpec(length=5, support_modulus=12, constraint="sum_zero"),
-        SearchSpec(length=5, support_modulus=12, constraint="sum_zero", norm_equals=F(1, 4)),
-        SearchSpec(length=4, box=5, norm_threshold=F(1, 5)),
-        SearchSpec(length=4, support_modulus=24, box=6, type_filter="B"),
-    ],
-    ids=["plain", "strict", "non-strict", "sum-zero", "norm-equals", "box", "type-filter"],
-)
-def test_enumerate_matches_naive_reference_tiny(spec):
-    ours = list(enumerate_lists(spec))
-    # naive reference: raw multisets, canonicalized, dedup by element tuple
-    bound = spec.box if spec.box is not None else spec.support_modulus
-    vals = [v for v in range(-bound, bound + 1) if v != 0]
-    if spec.support_modulus is not None:
-        vals = [v for v in vals if spec.support_modulus % v == 0]
-    ref = {}
-    for combo in combinations_with_replacement(vals, spec.length):
-        if spec.constraint == "sum_zero" and sum(combo) != 0:
-            continue
-        a = make_list(combo)
-        if a.length != spec.length or not a.is_primitive():
-            continue
-        if spec.type_filter is not None and classify_type(a) != spec.type_filter:
-            continue
-        nv = norm(a)
-        if spec.norm_equals is not None and nv != spec.norm_equals:
-            continue
-        if spec.norm_threshold is not None:
-            if nv > spec.norm_threshold or spec.strict and nv == spec.norm_threshold:
-                continue
-        ref[a.elements] = nv
-    assert ref
-    assert {a.elements for a, _ in ours} == set(ref)
-    assert all(ref[a.elements] == nv for a, nv in ours)
-    # dedup soundness: no canonical form twice; canonical order
-    seen = [a.elements for a, _ in ours]
-    assert len(seen) == len(set(seen))
-    assert seen == sorted(seen, key=lambda els: [(abs(v), v > 0) for v in els])
-
-
-def test_enumerate_length2_support2():
-    pairs = [a.elements for a, _ in enumerate_lists(SearchSpec(length=2, support_modulus=2))]
-    assert (1, -2) in pairs and (-1, 2) in pairs and (1, 2) in pairs
-    assert all(len(p) == 2 for p in pairs)
-
-
-def test_enumerate_requires_finiteness():
-    with pytest.raises(ValueError):
-        SearchSpec(length=3)
-
-
-def test_enumerate_type_filter_length4():
-    spec = SearchSpec(
-        length=4,
-        support_modulus=1728,
-        norm_threshold=F(11, 60),
-        type_filter="B",
-    )
-    found = dict(enumerate_lists(spec))
-    # the sweep part of the length-4 catalog: 19 lists up to sign
-    assert len({canonical_pair_key(a) for a in found}) == 19
-    assert all(nv < F(11, 60) for nv in found.values())
-
-
 def test_small_norm_4_catalog():
     cat = small_norm_catalog(4, F(11, 60))
     assert len(cat.entries) == 20
@@ -134,19 +63,6 @@ def test_small_norm_5_catalog():
     assert canonical_pair_key(make_list([1, -2, 4, -8, 16])) in cat.keys()
     for e in cat.entries:
         assert classify_type(e.list) == "A"
-
-
-def test_small_norm_6_exceptional_lists():
-    cat = small_norm_catalog(6, F(7, 36))
-    expected = keys(
-        [
-            make_list([1, -2, -3, 4, 6, -12]),
-            make_list([1, -2, -3, 6, 8, -24]),
-            make_list([1, -3, -4, 8, 12, -24]),
-        ]
-    )
-    assert cat.keys() == expected
-    assert {e.norm for e in cat.entries} == {F(1, 6), F(7, 36)}
 
 
 def test_small_norm_7_minimum():
@@ -217,6 +133,34 @@ def _first_per_key(candidates, keep=lambda a: True):
     return [kept[k].elements for k in sorted(kept)]
 
 
+S12 = search._signed_divisors(12)
+
+
+@pytest.mark.parametrize(
+    "values, count, test, solved, keep",
+    [
+        (S12, 3, None, False, lambda a: True),
+        # 1/6 is attained: the strict cut keeps 3 pairs, the non-strict 12
+        (S12, 4, ("le", 1 / 6), False, lambda a: norm(a) < F(1, 6)),
+        (S12, 4, ("le", 1 / 6), False, lambda a: norm(a) <= F(1, 6)),
+        (S12, 4, None, True, lambda a: True),
+        (S12, 4, QUARTER_TEST, True, lambda a: norm(a) == F(1, 4)),
+        (search._box(5), 4, ("le", 0.2), False, lambda a: norm(a) < F(1, 5)),
+        (tuple(v for v in search._signed_divisors(24) if abs(v) <= 6), 4, None, False, lambda a: classify_type(a) == "B"),
+    ],
+    ids=["plain", "strict", "non-strict", "sum-zero", "norm-equals", "box", "type-filter"],
+)
+def test_enumerate_matches_naive_reference_tiny(values, count, test, solved, keep):
+    # one group of `count` parameters; a solved element joins it, so the
+    # candidates are the (sum-zero) multisets of the support in support order
+    sweep = search._Sweep((search._Group(values, count),), test, values if solved else False)
+    combos = combinations_with_replacement(values, count + solved)
+    candidates = [c for c in combos if not solved or sum(c) == 0]
+    ref = _first_per_key(candidates, keep)
+    assert ref
+    assert [a.elements for a in search._confirm(sweep, keep)] == ref
+
+
 def _sum_zero_reference(modulus, length):
     """Brute force with the representative rule of sum_zero_divisor_lists:
     the candidates are the sum-zero multisets, each written in support
@@ -270,8 +214,6 @@ def test_sum_zero_join_two_groups():
     # large |v| to small, so the last head block, a = -1, holds the list
     # [-1,2,-1,2,-1,2,-3], which comes before its negation in sorted order
     # and so is the representative.
-    import ratio_lab.search as search
-
     support = tuple(v for d in (18, 9, 6, 3, 2, 1) for v in (d, -d))
     solved = tuple(_signed_divisors(36))
     sweep = search._Sweep((search._Group(support, 3, (1, -2)),), None, solved)
@@ -282,7 +224,7 @@ def test_sum_zero_join_two_groups():
     assert sorted(map(tuple, search._rows(sweep).tolist())) == sorted(live)
     ref = _first_per_key(cands)
     assert (-1, -1, -1, 2, 2, 2, -3) in ref
-    assert [a.elements for a in search._dedup(search._confirm(sweep, lambda a: True))] == ref
+    assert [a.elements for a in search._confirm(sweep, lambda a: True)] == ref
 
 
 def _support_order(v):
@@ -308,8 +250,6 @@ def test_family_search_5_representatives():
 
 
 def test_float_prefilter_bound_is_checked(monkeypatch):
-    import ratio_lab.search as search
-
     assert 2.9e-14 < search._prefilter_error(9) < 3.1e-14
     monkeypatch.setattr(search, "FLOAT_TOL", 1e-16)
     with pytest.raises(ArithmeticError):
@@ -317,8 +257,6 @@ def test_float_prefilter_bound_is_checked(monkeypatch):
 
 
 def test_sweep_int64_limits():
-    import ratio_lab.search as search
-
     # past 2^53 a float test is unsound, but a sweep without one is exact
     support = tuple(v for d in (1, 2**54, 2**54 + 1) for v in (-d, d))
     sweep = search._Sweep((search._Group(support, 2),), None, support)
@@ -329,11 +267,6 @@ def test_sweep_int64_limits():
     huge = tuple(v for d in (1, 2**61) for v in (-d, d))
     with pytest.raises(ValueError, match="join key"):
         search._rows(search._Sweep((search._Group(huge, 2),), None, huge))
-
-
-def test_sum_zero_enumeration_of_one_element():
-    # the solved element is the only parameter, and the zero list is rejected
-    assert list(enumerate_lists(SearchSpec(1, "sum_zero", 6))) == []
 
 
 def test_divisor_sweep_jobs_invariant():

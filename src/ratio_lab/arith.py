@@ -39,12 +39,20 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def divisors(m: int) -> list[int]:
+def divisors(m: int, primes=None) -> list[int]:
     """The positive divisors of |m|, ascending (none for m = 0), built from
-    the factorization of |m|; raises ValueError as factorize does."""
+    `primes`, which must hold every prime factor of m, or by default from
+    the factorization of |m|, which raises ValueError as factorize does."""
     if m == 0:
         return []
+    m = abs(m)
     out = [1]
-    for p, k in factorize(abs(m)):
+    for p in [p for p, _ in factorize(m)] if primes is None else primes:
+        if m == 1:
+            break
+        k = 0
+        while m % p == 0:
+            m, k = m // p, k + 1
         out = [d * p**j for d in out for j in range(k + 1)]
+    assert m == 1, "a prime factor of m is missing from primes"
     return sorted(out)

@@ -10,17 +10,11 @@ is stable-ordered and round-trips through the emitting types.  classify
 --jobs N deals the head loop of each divisor-support sweep (length 5,
 all three length-7 sweeps, length 9) out to N worker processes; the
 length-5 family scan and the length-9 recombination run in the main
-process.  Results are identical for any N from 1 to the
-number of CPUs, and other values are usage errors.  bounds takes
---nmax from 2 to 1024 and --rmax from 1 to 8 (the table at 1024 and 8
-takes about 2.5 s on a 2-core machine); other values are usage errors.
-check scans v - 1 breakpoints for each distinct entry v and sums over
-every entry at each, so more than 2*10^6 breakpoints times entries is a
-usage error.  separate without --k lists every k that
-has a witness, from the divisors of the split coefficients; it walks
-2^(n-1) - 1 splits of an n-entry list with or without --k, so a --list
-of more than 18 entries is a usage error.  liouville --probe K takes K
-from 2 to 256 (N_256 has 2621 digits); other values are usage errors.
+process, and results are identical for any N from 1 to the number of
+CPUs.  separate without --k lists every k that has a witness, from the
+divisors of the split coefficients.  Each library function raises
+ValueError on an input it does not take (the limits are in their
+docstrings), and that is a usage error, exit 2.
 """
 
 from __future__ import annotations
@@ -291,8 +285,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_small_norm)
 
     p = sub.add_parser("liouville", help="Liouville divisor lists and probe")
-    p.add_argument("--N", type=int)
-    p.add_argument("--probe", type=int, metavar="K")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--N", type=int)
+    mode.add_argument("--probe", type=int, metavar="K")
     p.set_defaults(fn=_cmd_liouville)
 
     p = sub.add_parser("catalog", help="print and verify bundled catalogs")
@@ -303,27 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "liouville" and (args.N is None) == (args.probe is None):
-        parser.error("liouville needs exactly one of --N or --probe")
-    if args.command == "liouville" and args.probe is not None and not 2 <= args.probe <= 256:
-        parser.error(f"--probe must be between 2 and 256, got {args.probe}")
-    if args.command == "separate" and len(args.list) > 18:
-        parser.error(f"--list has {len(args.list)} entries, above the cap of 18 (the split walk doubles with each entry)")
-    if args.command == "classify":
-        cpus = os.cpu_count() or 1
-        if not 1 <= args.jobs <= cpus:
-            parser.error(f"--jobs must be between 1 and {cpus} (the number of CPUs), got {args.jobs}")
-    if args.command == "bounds":
-        if not 2 <= args.nmax <= 1024:
-            parser.error(f"--nmax must be between 2 and 1024, got {args.nmax}")
-        if not 1 <= args.rmax <= 8:
-            parser.error(f"--rmax must be between 1 and 8, got {args.rmax}")
-    if args.command == "check":
-        points, entries = sum(v - 1 for v in {*args.num, *args.den}), len(args.num) + len(args.den)
-        if points * entries > 2 * 10**6:
-            parser.error(f"--num and --den give {points} breakpoints times {entries} entries, above the cap of 2*10^6")
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, FileNotFoundError) as exc:

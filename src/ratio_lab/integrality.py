@@ -94,10 +94,16 @@ def landau_min_max(r: RatioSpec) -> tuple[int, int]:
     m/v for v an entry, so its extrema over the reals are attained on
     that finite set, where f(m/v) = sum_i floor(a_i m / v) - sum_j
     floor(b_j m / v) in integers.  The ratio is integral for all n iff
-    min >= 0.
+    min >= 0.  The scan sums over every entry at each of the v - 1
+    breakpoints of each distinct entry v, so more than 2*10^6
+    breakpoints times entries raises ValueError before any scan.
     """
+    values = set(r.numerator) | set(r.denominator)
+    points, entries = sum(v - 1 for v in values), r.K + r.L
+    if points * entries > 2 * 10**6:
+        raise ValueError(f"{points} breakpoints times {entries} entries, above the cap of 2*10^6")
     lo = hi = 0  # f(0) = 0
-    for v in set(r.numerator) | set(r.denominator):
+    for v in values:
         for m in range(1, v):
             val = sum(a * m // v for a in r.numerator) - sum(b * m // v for b in r.denominator)
             lo, hi = min(lo, val), max(hi, val)

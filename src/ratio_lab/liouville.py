@@ -80,11 +80,12 @@ def liouville_norm_formula(N: int) -> Fraction:
 def n_sub_k(k: int) -> int:
     """N_k = prod_{p<=k} p^r, r the largest integer with r^pi(k) <= 2^k.
 
-    Hence d(N_k) = (r+1)^pi(k), and r^pi(k) <= 2^k < d(N_k).
+    Hence d(N_k) = (r+1)^pi(k), and r^pi(k) <= 2^k < d(N_k).  k runs from
+    2 to 256 (N_256 has 2621 digits); other values raise ValueError.
     """
+    if not 2 <= k <= 256:
+        raise ValueError(f"k must be between 2 and 256, got {k}")
     primes = primes_upto(k)
-    if not primes:
-        raise ValueError("k must be at least 2")
     r = 1
     while (r + 1) ** len(primes) <= 2**k:
         r += 1
@@ -100,7 +101,7 @@ def asymptotic_ratio_probe(k: int) -> tuple[Fraction, Fraction]:
     The upper value is the exact norm of the Liouville list of N_k; the
     lower is the Mertens-style product bound at the same length.  Their
     ratio closes in on 1 only at (log log)^2 speed, so callers report the
-    trace rather than asserting closeness.
+    trace rather than asserting closeness.  k is limited as in n_sub_k.
     """
     N = n_sub_k(k)
     d = prod(e + 1 for _, e in factorize(N))

@@ -353,7 +353,12 @@ def _rows(sweep: _Sweep, jobs: int = 1) -> np.ndarray:
     for a sum-zero join key the support size), and that a float test is
     sound: elements exact in float64 (the solved one is at most `length`
     times the largest), and the error bound plus the roundings of the
-    target t and of t + FLOAT_TOL, 2u(1 + |t|), below FLOAT_TOL."""
+    target t and of t + FLOAT_TOL, 2u(1 + |t|), below FLOAT_TOL.  Before
+    all that, `jobs` outside 1..os.cpu_count() raises ValueError, so a
+    refused pool never starts."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise ValueError(f"jobs must be between 1 and {cpus} (the number of CPUs), got {jobs}")
     length, groups = sweep.length, sweep.groups
     biggest = max((abs(m * v) for g in groups for m in g.mults for v in g.values), default=0)
     n = max(map(len, [g.values for g in groups] + [sweep.solved])) if isinstance(sweep.solved, tuple) else 1
@@ -362,7 +367,7 @@ def _rows(sweep: _Sweep, jobs: int = 1) -> np.ndarray:
     bound = _prefilter_error(length) + 2.0**-52 * (1 + abs(sweep.test[1] if sweep.test else 0))
     if sweep.test and (length * biggest >= 2**53 or not bound < FLOAT_TOL):
         raise ArithmeticError(f"float prefilter bound {bound:.2e} is not below FLOAT_TOL {FLOAT_TOL:.2e}")
-    if jobs <= 1:
+    if jobs == 1:
         return _scan((sweep, 0, 1))
     with Pool(jobs) as pool:
         return np.concatenate(pool.map(_scan, [(sweep, s, jobs) for s in range(jobs)]))
@@ -580,12 +585,16 @@ def _small_norm_3(threshold: Fraction) -> list[SignedList]:
     Any length-3 list with norm < 43/216 is of the form [a, -ka, b] with
     2 <= k <= 5 and gcd(a, b) = 1, and within each family the norm tends
     to a limit >= 1/6, so a sub-1/6 threshold gives a finite scan range.
+    Each shape's cross-term table holds 2 bound x 2k bound floats, so a
+    scan bound above 1000 (thresholds of 333/2000 and up) raises ValueError.
     """
     if threshold > Fraction(43, 216):
         raise ValueError("length-3 catalogs only exist below 43/216")
     if threshold >= Fraction(1, 6):
         raise ValueError("infinitely many length-3 lists below thresholds >= 1/6")
     bound = 1 + int(1 / (6 * (Fraction(1, 6) - threshold)))
+    if bound > 1000:
+        raise ValueError(f"threshold {threshold} needs a scan bound of {bound}, above the cap of 1000")
     shapes = [(_Group(_box(bound), 1, (1, -k)), _Group(_box(k * bound), 1)) for k in (2, 3, 4, 5)]
     return _below(threshold, shapes, lambda a: norm(a) < threshold)
 
@@ -740,6 +749,12 @@ def catalog_dir() -> str:
 
 
 def load_golden(name: str) -> Catalog:
+    """The catalog `name` from catalog_dir().  A file that is not JSON,
+    misses a key, holds one of the wrong type or stores a wrong norm
+    raises ValueError naming the file."""
     path = os.path.join(catalog_dir(), f"{name}.json")
     with open(path, encoding="utf-8") as fh:
-        return Catalog.from_json(json.load(fh))
+        try:
+            return Catalog.from_json(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed catalog file {path}: {exc!r}") from exc

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd
 
-from ratio_lab.arith import divisors, primes_upto
+from ratio_lab.arith import divisors, factorize, primes_upto
 from ratio_lab.lists import SignedList, concat, make_list, norm, scale
 
 __all__ = [
@@ -95,9 +96,13 @@ def _splits(a: SignedList):
     (side, B, other, C): b = [a_i / B for i in side] and c likewise are
     primitive with their smallest-|value| element positive, and b is the
     shorter part (at equal length, the smaller).  Dividing a canonical
-    list by a signed content keeps it canonical, so no part is built."""
+    list by a signed content keeps it canonical, so no part is built.
+    An n-entry list has 2^(n-1) - 1 splits, so more than 18 entries
+    raises ValueError before the walk starts."""
     if a.length < 2:
         raise ValueError("list must have length at least 2")
+    if a.length > 18:
+        raise ValueError(f"list has {a.length} entries, above the cap of 18 (the split walk doubles with each entry)")
     if not a.is_primitive():
         raise ValueError("list must be primitive")
     els = a.elements
@@ -131,7 +136,7 @@ def _separated(k: int, els: tuple[int, ...], side, B: int, other, C: int) -> boo
 
 def find_separations(a: SignedList, k: int) -> list[SeparationWitness]:
     """All k-separations of a primitive list, one witness per unordered
-    partition of the positions."""
+    partition of the positions.  As in _splits, at most 18 entries."""
     if k < 2:
         raise ValueError("k must be at least 2")
     els = a.elements
@@ -148,11 +153,15 @@ def separation_orders(a: SignedList) -> list[int]:
     """Every k >= 2 for which a primitive list is k-separated, ascending.
 
     Every such k divides the B or C of a split that passes, so testing the
-    divisors of the finitely many split coefficients is exhaustive.
+    divisors of the finitely many split coefficients is exhaustive.  B
+    divides the element at side[0] and C the one at other[0], so each
+    element is factorized once and the coefficients' divisors are built
+    from its primes.  As in _splits, at most 18 entries.
     """
+    primes = cache(lambda i: [p for p, _ in factorize(abs(a.elements[i]))])
     found = set()
     for side, B, other, C in _splits(a):
-        for k in {*divisors(B), *divisors(C)} - found - {1}:
+        for k in {*divisors(B, primes(side[0])), *divisors(C, primes(other[0]))} - found - {1}:
             if _separated(k, a.elements, side, B, other, C):
                 found.add(k)
     return sorted(found)

@@ -15,6 +15,8 @@ def _trial_divisors(m):
 def test_divisors_match_trial_division():
     for m in range(1, 10**4 + 1):
         assert divisors(m) == _trial_divisors(m)
+        # from the primes of a multiple, some of which do not divide m
+        assert divisors(m, [p for p, _ in factorize(30 * m)]) == divisors(m)
     assert divisors(-360) == divisors(360)
     assert divisors(0) == []
 

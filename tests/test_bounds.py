@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import ratio_lab.bounds as bounds
 from ratio_lab.bounds import (
     INFINITY,
     build_table,
@@ -107,9 +108,24 @@ def test_row_kernel_matches_reference_scan(n_max, r_max):
     assert list(table.g1) == g1
 
 
-def test_build_table_validation():
-    with pytest.raises(ValueError):
-        build_table(1, 3)
+class _Started(Exception):
+    pass
+
+
+def test_build_table_validation(monkeypatch):
+    def no_row(*args):
+        raise _Started
+
+    monkeypatch.setattr(bounds, "_row", no_row)
+    for n_max in (1, 1025, 10**6):
+        with pytest.raises(ValueError, match=f"n_max must be between 2 and 1024, got {n_max}$"):
+            build_table(n_max, 3)
+    for r_max in (0, 9, 10**6):
+        with pytest.raises(ValueError, match=f"r_max must be between 1 and 8, got {r_max}$"):
+            build_table(11, r_max)
+    for n_max, r_max in ((2, 1), (1024, 8)):  # the ends of the ranges get as far as a row
+        with pytest.raises(_Started):
+            build_table(n_max, r_max)
 
 
 def test_mertens_product_bound():

@@ -57,42 +57,22 @@ def test_check_failure_exit(capsys):
     ],
     ids=["large-entries", "many-entries"],
 )
-def test_check_breakpoint_cap_is_usage_error(capsys, monkeypatch, num, den, message):
-    def no_scan(*args):
-        raise AssertionError("a scan was started")
-
-    monkeypatch.setattr("ratio_lab.cli.landau_min_max", no_scan)
-    with pytest.raises(SystemExit) as exc:
-        run(["check", "--num", num, "--den", den])
-    assert exc.value.code == 2
-    assert f"{message}, above the cap of 2*10^6" in capsys.readouterr().err
+def test_check_breakpoint_cap_is_usage_error(capsys, num, den, message):
+    assert run(["check", "--num", num, "--den", den]) == 2
+    assert f"error: {message}, above the cap of 2*10^6" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", [None, "2"])
-def test_separate_entry_cap_is_usage_error(capsys, monkeypatch, k):
-    def no_walk(*args):
-        raise AssertionError("a split walk was started")
-
-    monkeypatch.setattr("ratio_lab.cli.separation_orders", no_walk)
-    monkeypatch.setattr("ratio_lab.cli.find_separations", no_walk)
+def test_separate_entry_cap_is_usage_error(capsys, k):
     argv = ["separate", "--list", ",".join(map(str, range(1, 39, 2)))]
-    with pytest.raises(SystemExit) as exc:
-        run(argv + (["--k", k] if k else []))
-    assert exc.value.code == 2
-    assert "--list has 19 entries, above the cap of 18" in capsys.readouterr().err
+    assert run(argv + (["--k", k] if k else [])) == 2
+    assert "error: list has 19 entries, above the cap of 18" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", ["1", "257", "100000"])
-def test_liouville_probe_cap_is_usage_error(capsys, monkeypatch, k):
-    def no_probe(*args):
-        raise AssertionError("a probe was started")
-
-    monkeypatch.setattr("ratio_lab.cli.asymptotic_ratio_probe", no_probe)
-    monkeypatch.setattr("ratio_lab.cli.n_sub_k", no_probe)
-    with pytest.raises(SystemExit) as exc:
-        run(["liouville", "--probe", k])
-    assert exc.value.code == 2
-    assert f"--probe must be between 2 and 256, got {k}" in capsys.readouterr().err
+def test_liouville_probe_cap_is_usage_error(capsys, k):
+    assert run(["liouville", "--probe", k]) == 2
+    assert f"error: k must be between 2 and 256, got {k}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -138,15 +118,11 @@ def test_bounds_table(capsys):
         (["--nmax", "11", "--rmax", "1000000"], "--rmax must be between 1 and 8, got 1000000"),
     ],
 )
-def test_bounds_limits_are_usage_errors(capsys, monkeypatch, argv, message):
-    def no_table(*args):
-        raise AssertionError("a table was built")
-
-    monkeypatch.setattr("ratio_lab.cli.build_table", no_table)
-    with pytest.raises(SystemExit) as exc:
-        run(["bounds", *argv])
-    assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+def test_bounds_limits_are_usage_errors(capsys, argv, message):
+    # the message comes from build_table, which names --nmax n_max and --rmax r_max
+    assert run(["bounds", *argv]) == 2
+    flag, rule = message.split(" ", 1)
+    assert f"error: {flag[2]}_max {rule}\n" in capsys.readouterr().err
 
 
 def test_separate_worked_example(capsys):
@@ -212,9 +188,20 @@ def test_liouville_divisor_cap_is_usage_error(capsys):
 
 
 def test_liouville_needs_exactly_one_mode():
-    with pytest.raises(SystemExit) as exc:
-        run(["liouville"])
-    assert exc.value.code == 2
+    for argv in ([], ["--N", "6", "--probe", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["liouville", *argv])
+        assert exc.value.code == 2
+
+
+def test_small_norm_3_scan_cap_is_usage_error(capsys, monkeypatch):
+    # a scan bound of 12002 would build cross-term tables of several GB
+    def no_scan(*args):
+        raise AssertionError("a scan was started")
+
+    monkeypatch.setattr("ratio_lab.search._below", no_scan)
+    assert run(["small-norm", "--length", "3", "--threshold", "2000/12001"]) == 2
+    assert "error: threshold 2000/12001 needs a scan bound of 12002, above the cap of 1000" in capsys.readouterr().err
 
 
 def test_small_norm_catalog_cli(capsys):
@@ -241,6 +228,14 @@ def test_catalog_past_breakpoint_cap_is_usage_error(tmp_path, monkeypatch, capsy
     monkeypatch.setenv("RATIO_LAB_CATALOG_DIR", str(tmp_path))
     assert run(["catalog", "--name", "sporadic_length9"]) == 2
     assert "breakpoints" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [{"name": "sporadic_length9"}, []], ids=["no-entries", "top-level-list"])
+def test_catalog_malformed_file_is_usage_error(tmp_path, monkeypatch, capsys, data):
+    (tmp_path / "sporadic_length9.json").write_text(json.dumps(data))
+    monkeypatch.setenv("RATIO_LAB_CATALOG_DIR", str(tmp_path))
+    assert run(["catalog", "--name", "sporadic_length9"]) == 2
+    assert "error: malformed catalog file" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():
@@ -271,17 +266,13 @@ def _refuse_pool(*args, **kwargs):
 
 
 def test_classify_jobs_bounded_by_cpu_count(capsys, monkeypatch):
-    import os
-
     import ratio_lab.search
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(ratio_lab.search, "Pool", _refuse_pool)
     for jobs in ("0", "-1", "3", "1000000"):
-        with pytest.raises(SystemExit) as exc:
-            run(["classify", "--length", "5", "--jobs", jobs])
-        assert exc.value.code == 2
-        assert f"--jobs must be between 1 and 2 (the number of CPUs), got {jobs}" in capsys.readouterr().err
+        assert run(["classify", "--length", "5", "--jobs", jobs]) == 2
+        assert f"error: jobs must be between 1 and 2 (the number of CPUs), got {jobs}" in capsys.readouterr().err
     # the upper end is allowed: the sweep gets as far as creating its pool
     with pytest.raises(_PoolCreated):
         run(["classify", "--length", "5", "--jobs", "2"])

@@ -33,6 +33,24 @@ def test_spec_validation():
         RatioSpec(numerator=(0, 3), denominator=(1, 2))
 
 
+@pytest.mark.parametrize(
+    "num, den, message",
+    [
+        ((10**9, 10**9), (2 * 10**9 - 1, 1), "2999999997 breakpoints times 4 entries"),
+        # under 10^6 breakpoints, but each sums over 1400 entries
+        (range(1, 1400, 2), [*range(2, 1400, 2), 700], "977901 breakpoints times 1400 entries"),
+    ],
+    ids=["large-entries", "many-entries"],
+)
+def test_landau_breakpoint_cap(num, den, message):
+    # a cap checked after the scan would hang on the first case, not fail
+    spec = RatioSpec(numerator=tuple(num), denominator=tuple(den))
+    with pytest.raises(ValueError, match=f"^{message}, above the cap of 2\\*10\\^6$"):
+        landau_min_max(spec)
+    with pytest.raises(ValueError, match="breakpoints"):
+        is_integral(spec)
+
+
 def test_to_list():
     a = to_list(CHEB)
     assert a == make_list([1, -6, -10, -15, 30])

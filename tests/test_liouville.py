@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import ratio_lab.liouville as liouville
 from ratio_lab.lists import concat, make_list, norm, scale
 from ratio_lab.liouville import (
     asymptotic_ratio_probe,
@@ -43,6 +44,24 @@ def test_probe_reports_upper_above_lower():
     for k in (2, 3, 4):
         upper, lower = asymptotic_ratio_probe(k)
         assert upper >= lower > 0
+
+
+class _Started(Exception):
+    pass
+
+
+def test_probe_k_cap(monkeypatch):
+    def no_sieve(limit):
+        raise _Started
+
+    monkeypatch.setattr(liouville, "primes_upto", no_sieve)
+    for k in (1, 257, 100000):
+        for fn in (n_sub_k, asymptotic_ratio_probe):
+            with pytest.raises(ValueError, match=f"k must be between 2 and 256, got {k}$"):
+                fn(k)
+    for k in (2, 256):  # the ends of the range get as far as the sieve
+        with pytest.raises(_Started):
+            asymptotic_ratio_probe(k)
 
 
 def test_probe_k2_shape():

@@ -1,4 +1,7 @@
+import json
+import os
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -269,17 +272,75 @@ def test_sweep_int64_limits():
         search._rows(search._Sweep((search._Group(huge, 2),), None, huge))
 
 
-def test_divisor_sweep_jobs_invariant():
-    # tiny modulus: sharding must not change the result set
+def test_divisor_sweep_jobs_invariant(monkeypatch):
+    # tiny modulus: sharding must not change the result set; the pinned
+    # CPU count allows two jobs on a one-CPU machine too
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     one = keys(divisor_sweep_5(modulus=360))
     two = keys(divisor_sweep_5(modulus=360, jobs=2))
     assert one == two and one
 
 
-def test_sum_zero_join_jobs_invariant():
+def test_sum_zero_join_jobs_invariant(monkeypatch):
     # the join shards its loop over the first head parameter
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     one = [a.elements for a in sum_zero_divisor_lists(720, 7)]
     assert [a.elements for a in sum_zero_divisor_lists(720, 7, jobs=2)] == one and one
+
+
+class _Started(Exception):
+    pass
+
+
+def _refuse(*args, **kwargs):
+    raise _Started
+
+
+def test_jobs_bounded_by_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "Pool", _refuse)
+    monkeypatch.setattr(search, "_scan", _refuse)
+    for jobs in (0, -1, 3, 10**6):
+        with pytest.raises(ValueError, match=f"jobs must be between 1 and 2 \\(the number of CPUs\\), got {jobs}$"):
+            divisor_sweep_5(60, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be between"):
+            sum_zero_divisor_lists(720, 7, jobs=jobs)
+        for length in (7, 9):  # before the first sweep
+            with pytest.raises(ValueError, match="jobs must be between"):
+                search.classify_length(length, jobs=jobs)
+    # the upper end is allowed: the sweep gets as far as creating its pool
+    with pytest.raises(_Started):
+        divisor_sweep_5(60, jobs=2)
+
+
+def test_small_norm_3_scan_cap(monkeypatch):
+    # 2000/12001 needs a scan bound of 12002, whose cross-term tables would
+    # take several GB each; 499/2997 needs 1000, 333/2000 needs 1001
+    monkeypatch.setattr(search, "_below", _refuse)
+    for threshold, bound in ((F(2000, 12001), 12002), (F(333, 2000), 1001)):
+        with pytest.raises(ValueError, match=f"needs a scan bound of {bound}, above the cap of 1000"):
+            small_norm_catalog(3, threshold)
+    with pytest.raises(_Started):
+        small_norm_catalog(3, F(499, 2997))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"name": "sporadic_length9"}',
+        "[]",
+        '{"name": "sporadic_length9", "entries": 3}',
+        '{"name": "sporadic_length9", "entries": [{"list": ["1", "-2"]}]}',
+        '{"name": "sporadic_length9", "entries": [',
+    ],
+    ids=["no-entries", "top-level-list", "entries-not-a-list", "entry-without-norm", "not-json"],
+)
+def test_malformed_catalog_file(tmp_path, monkeypatch, text):
+    path = tmp_path / "sporadic_length9.json"
+    path.write_text(text)
+    monkeypatch.setenv("RATIO_LAB_CATALOG_DIR", str(tmp_path))
+    with pytest.raises(ValueError, match=f"malformed catalog file {re.escape(str(path))}"):
+        load_golden("sporadic_length9")
 
 
 def test_golden_catalogs_load_and_verify():
@@ -302,8 +363,6 @@ def test_golden_sporadics_are_sporadic():
 
 def test_catalog_env_override(tmp_path, monkeypatch):
     cat = load_golden("sporadic_length9")
-    import json
-
     (tmp_path / "sporadic_length9.json").write_text(json.dumps(cat.to_json()))
     monkeypatch.setenv("RATIO_LAB_CATALOG_DIR", str(tmp_path))
     again = load_golden("sporadic_length9")

@@ -6,7 +6,9 @@ from math import gcd
 
 import pytest
 
-from ratio_lab.arith import divisors
+import ratio_lab.arith
+import ratio_lab.separation as separation
+from ratio_lab.arith import divisors, factorize
 from ratio_lab.lists import SignedList, make_list, norm
 from ratio_lab.separation import (
     PRESET_MODULI,
@@ -61,6 +63,41 @@ def test_check_decomposition_on_worked_example():
 def test_find_separations_requires_primitive():
     with pytest.raises(ValueError):
         find_separations(make_list([2, -4]), 2)
+
+
+class _Started(Exception):
+    pass
+
+
+def test_split_walk_entry_cap(monkeypatch):
+    def no_walk(*args):
+        raise _Started
+
+    monkeypatch.setattr(separation, "combinations", no_walk)
+    monkeypatch.setattr(separation, "factorize", no_walk)
+    a = make_list(range(1, 39, 2))
+    for query in (lambda: find_separations(a, 2), lambda: separation_orders(a)):
+        with pytest.raises(ValueError, match="list has 19 entries, above the cap of 18"):
+            query()
+    with pytest.raises(_Started):  # 18 entries get as far as the walk
+        separation_orders(make_list(range(1, 37, 2)))
+
+
+def test_separation_orders_factorizes_each_entry_once(monkeypatch):
+    # each entry past 1 is a multiple of a prime above 10^6, so a coefficient
+    # factorized on its own is trial-divided up to 10^6
+    P = 999_999_999_989
+    a = make_list([1] + [i * P for i in range(1, 8)])
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(ratio_lab.arith, "factorize", counted)
+    monkeypatch.setattr(separation, "factorize", counted, raising=False)
+    assert separation_orders(a) == [2, 3, 5, 7, P]
+    assert sorted(calls) == sorted(abs(e) for e in a.elements)
 
 
 def test_support_bound_values():

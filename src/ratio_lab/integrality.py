@@ -138,10 +138,16 @@ def valuation_oracle(r: RatioSpec, n_max: int) -> tuple[int, int] | None:
     every prime p up to (largest entry) * n; larger primes divide none
     of the factorials.  Returns the first violating (n, p), or None on a
     clean pass.  Cross-validates the Landau criterion on the tested
-    range; it is not a proof.
+    range; it is not a proof.  The sieve runs to (largest entry) * n_max
+    and the loop visits at most (largest entry) * n_max^2 pairs (n, p),
+    each taking one valuation per entry, so entries * (largest entry) *
+    n_max^2 above 10^8 raises ValueError before any work (at the cap a
+    call takes about a second on a 2-core machine).
     """
     entries = [(a, 1) for a in r.numerator] + [(b, -1) for b in r.denominator]
     biggest = max(e for e, _ in entries)
+    if len(entries) * biggest * n_max**2 > 10**8:
+        raise ValueError(f"{len(entries)} entries times largest entry {biggest} times n_max^2 = {n_max}^2, above the cap of 10^8")
     primes = primes_upto(biggest * n_max)
     for n in range(1, n_max + 1):
         top = biggest * n

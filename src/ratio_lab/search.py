@@ -34,7 +34,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement, islice, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb, gcd, prod
 from multiprocessing import Pool
 
@@ -66,8 +66,9 @@ QUARTER_TEST = ("eq", 0.25)
 # float prefilter tolerance; _rows proves on every sweep that it exceeds
 # the float error (_prefilter_error)
 FLOAT_TOL = 5e-13
-# a sweep's tail is sorted at most TAIL_ROWS index rows at a time (unless
-# its heads are more), and heads and hits go CHUNK rows per numpy call
+# a sweep's tail is built and sorted once; TAIL_ROWS only sets the one-head
+# split (the fewest leading parameters that leave at most TAIL_ROWS tail
+# rows), and heads and hits go CHUNK rows per numpy call
 TAIL_ROWS = 1 << 17
 CHUNK = 1 << 13
 
@@ -217,10 +218,11 @@ def _index_rows(groups, params) -> tuple[list[np.ndarray], int]:
 def _scan(args) -> np.ndarray:
     """Float-prefilter one share of a sweep: its surviving live rows.
 
-    The tail's index rows are sorted by the key sum*n + first index (n
-    values in its first group) if the row sums to zero, else by first
-    index.  A Python loop runs over the leading head parameters, every
-    `parts`-th combination from `part` on, the others forming numpy
+    The tail's index rows are built once and, if the row sums to zero,
+    sorted once by the key sum*n + first index (n values in its first
+    group); else they stay sorted by first index.  A Python loop runs
+    over the leading head parameters, the rows of _index_rows in lexical
+    order, every `parts`-th from `part` on, the others forming numpy
     blocks, and each head takes one searchsorted range of tail rows: sum
     -(head sum) if the row sums to zero, first index from the head's last
     on if both are of one group.  So each multiset is reached once.  Other
@@ -240,12 +242,7 @@ def _scan(args) -> np.ndarray:
         size = lambda c: _n_combos(groups, owner[:c]) + _n_combos(groups, owner[c:])  # noqa: E731
         cut, lead = min(range(1, max(2, len(owner))), key=lambda c: (size(c), -c)), 1
     else:
-        # the Python loop takes the fewest leading parameters that leave at most
-        # TAIL_ROWS tail rows, unless that makes more heads; then the most that do not
-        cut = min(c for c in range(len(owner) + 1) if _n_combos(groups, owner[c:]) <= TAIL_ROWS)
-        if _n_combos(groups, owner[:cut]) > TAIL_ROWS:
-            cut = max(c for c in range(len(owner) + 1) if _n_combos(groups, owner[:c]) <= TAIL_ROWS)
-        lead = cut
+        cut = lead = min(c for c in range(len(owner) + 1) if _n_combos(groups, owner[c:]) <= TAIL_ROWS)
     block, tail = owner[lead:cut], owner[cut:]
     vals = [np.array(g.values) for g in groups]
     tables = {pair: _cross(groups[pair[0]], groups[pair[1]]) for pair in set(combinations(owner, 2))}
@@ -273,76 +270,70 @@ def _scan(args) -> np.ndarray:
     gcds = solved is True and _n_combos(groups, owner) >= top and all(top % x == 0 for x in elements)
     slot, tabs = _gcd_tables(groups, top) if gcds else (None, None)
     out = [np.empty((0, sweep.length), dtype=np.int64)]
-    all_tail, tail_rows = _index_rows(groups, tail)
-    if not sum_zero:  # read in every chunk: in numpy's index type
-        all_tail = [i.astype(np.intp) for i in all_tail]
-    # the tail goes TAIL_ROWS rows at a time unless the heads outnumber it
-    # (each part takes every head)
-    step = tail_rows if _n_combos(groups, owner[:cut]) >= tail_rows else TAIL_ROWS
-    for t0 in range(0, tail_rows, step):
-        tail_idx = [i[t0 : t0 + step] for i in all_tail]
-        key, tail_inner = sums(tail, tail_idx)
-        if sum_zero:  # the join key, and the tail rows in its order, in place
-            key *= n
-            key += tail_idx[0] if shared else 0
-            order = np.argsort(key, kind="stable")
-            for i in (*tail_idx, key, tail_inner):
-                i[:] = i[order]
-            del order
-        segments = [combinations_with_replacement(range(len(vals[g])), k) for g, k in Counter(owner[:lead]).items()]
-        for hi in islice(product(*segments), part, None, parts):
-            hi = sum(hi, ())
-            psum = sum(sum(groups[gi].mults) * groups[gi].values[i] for gi, i in zip(owner, hi))
-            # the rows of the cross-term and gcd tables that the leading parameters pick
-            against = [(tables[owner[q], gq][hi[q]], r) for q in range(lead) for r, gq in enumerate(tail)]
-            erows = [tabs[gi, m][i] for gi, i in zip(owner, hi) for m in groups[gi].mults] if gcds else []
-            for s in range(int(np.searchsorted(block_idx[0], hi[-1])) if after else 0, rows, CHUNK):
-                head = list(hi) + [i[s : s + CHUNK] for i in block_idx]
-                hsum, base = sums(block, head[lead:])
-                base += const + sum(tables[owner[q], owner[r]][head[q]][head[r]] for q, r in combinations(range(cut), 2) if q < lead)
-                if sum_zero:  # for each head, the tail rows of sum -(head sum)
-                    at = (hsum + psum) * -n
-                    lo = np.searchsorted(key, at + (head[-1] if shared else 0))
-                    stop = np.searchsorted(key, at + n)
-                    ends = np.cumsum(stop - lo)
-                else:  # one head, and the tail rows from its last index on
-                    lo = int(np.searchsorted(tail_idx[0], head[-1])) if shared else 0
-                    ends = [len(tail_inner) - lo]
-                for c0 in range(0, int(ends[-1]), CHUNK):
-                    c1 = min(c0 + CHUNK, int(ends[-1]))
-                    if not sum_zero:  # one head: its hits are a slice of the tail
-                        h, t = (), slice(lo + c0, lo + c1)
-                    else:
-                        k = np.arange(c0, c1)
-                        h = np.searchsorted(ends, k, side="right")
-                        t = stop[h] - ends[h] + k
-                    hc = list(hi) + [i[h].astype(np.intp) for i in head[lead:]]
-                    ci = [i[t].astype(np.intp, copy=False) for i in tail_idx]
-                    cols = [v if m == 1 else m * v for gi, i in zip(owner, hc + ci) for v in [vals[gi][i]] for m in groups[gi].mults]
-                    if solved is True:
-                        cols.append(-sum(cols))
-                    hit = slice(None)
-                    if test:
-                        total = base[h] + tail_inner[t]
-                        for row, r in against:
-                            total += row[ci[r]]
-                        for q, r in product(range(lead, cut), range(len(tail))):
-                            total += tables[owner[q], tail[r]][hc[q], ci[r]]
-                        if solved is True:  # the terms of e
-                            e = cols[-1]
-                            if gcds:
-                                k = slot[e % top]
-                                terms = [row[k] for row in erows]
-                                terms += [tabs[gi, m][i, k] for gi, i in zip(owner[lead:], hc[lead:] + ci) for m in groups[gi].mults]
-                            else:
-                                terms = [np.gcd(x, e).astype(np.float64) ** 2 / x for x in cols[:-1]]
-                            total += sum(terms) / e
-                        nrm = total / 6
-                        hit = np.abs(nrm - test[1]) < FLOAT_TOL if test[0] == "eq" else nrm <= test[1] + FLOAT_TOL
-                        if not hit.any():
-                            continue
-                    found = np.column_stack([np.broadcast_to(x, (c1 - c0,))[hit] for x in cols])
-                    out.append(found[_live_rows(found)])
+    tail_idx, _ = _index_rows(groups, tail)
+    key, tail_inner = sums(tail, tail_idx)
+    if sum_zero:  # the join key, and the tail rows in its order, in place
+        key *= n
+        key += tail_idx[0] if shared else 0
+        order = np.argsort(key, kind="stable")
+        for i in (*tail_idx, key, tail_inner):
+            i[:] = i[order]
+        del order
+    else:  # read in every chunk: in numpy's index type
+        tail_idx = [i.astype(np.intp) for i in tail_idx]
+    head_idx, heads = _index_rows(groups, owner[:lead])
+    for hi in np.array(head_idx, dtype=np.intp).T.reshape(heads, lead)[part::parts].tolist():
+        psum = sum(sum(groups[gi].mults) * groups[gi].values[i] for gi, i in zip(owner, hi))
+        # the rows of the cross-term and gcd tables that the leading parameters pick
+        against = [(tables[owner[q], gq][hi[q]], r) for q in range(lead) for r, gq in enumerate(tail)]
+        erows = [tabs[gi, m][i] for gi, i in zip(owner, hi) for m in groups[gi].mults] if gcds else []
+        for s in range(int(np.searchsorted(block_idx[0], hi[-1])) if after else 0, rows, CHUNK):
+            head = hi + [i[s : s + CHUNK] for i in block_idx]
+            hsum, base = sums(block, head[lead:])
+            base += const + sum(tables[owner[q], owner[r]][head[q]][head[r]] for q, r in combinations(range(cut), 2) if q < lead)
+            if sum_zero:  # for each head, the tail rows of sum -(head sum)
+                at = (hsum + psum) * -n
+                lo = np.searchsorted(key, at + (head[-1] if shared else 0))
+                stop = np.searchsorted(key, at + n)
+                ends = np.cumsum(stop - lo)
+            else:  # one head, and the tail rows from its last index on
+                lo = int(np.searchsorted(tail_idx[0], head[-1])) if shared else 0
+                ends = [len(tail_inner) - lo]
+            for c0 in range(0, int(ends[-1]), CHUNK):
+                c1 = min(c0 + CHUNK, int(ends[-1]))
+                if not sum_zero:  # one head: its hits are a slice of the tail
+                    h, t = (), slice(lo + c0, lo + c1)
+                else:
+                    k = np.arange(c0, c1)
+                    h = np.searchsorted(ends, k, side="right")
+                    t = stop[h] - ends[h] + k
+                hc = hi + [i[h].astype(np.intp) for i in head[lead:]]
+                ci = [i[t].astype(np.intp, copy=False) for i in tail_idx]
+                cols = [v if m == 1 else m * v for gi, i in zip(owner, hc + ci) for v in [vals[gi][i]] for m in groups[gi].mults]
+                if solved is True:
+                    cols.append(-sum(cols))
+                hit = slice(None)
+                if test:
+                    total = base[h] + tail_inner[t]
+                    for row, r in against:
+                        total += row[ci[r]]
+                    for q, r in product(range(lead, cut), range(len(tail))):
+                        total += tables[owner[q], tail[r]][hc[q], ci[r]]
+                    if solved is True:  # the terms of e
+                        e = cols[-1]
+                        if gcds:
+                            k = slot[e % top]
+                            terms = [row[k] for row in erows]
+                            terms += [tabs[gi, m][i, k] for gi, i in zip(owner[lead:], hc[lead:] + ci) for m in groups[gi].mults]
+                        else:
+                            terms = [np.gcd(x, e).astype(np.float64) ** 2 / x for x in cols[:-1]]
+                        total += sum(terms) / e
+                    nrm = total / 6
+                    hit = np.abs(nrm - test[1]) < FLOAT_TOL if test[0] == "eq" else nrm <= test[1] + FLOAT_TOL
+                    if not hit.any():
+                        continue
+                found = np.column_stack([np.broadcast_to(x, (c1 - c0,))[hit] for x in cols])
+                out.append(found[_live_rows(found)])
     return np.concatenate(out)
 
 
@@ -375,10 +366,12 @@ def _rows(sweep: _Sweep, jobs: int = 1) -> np.ndarray:
 
 def _confirm(sweep: _Sweep, keep, jobs: int = 1) -> list[SignedList]:
     """The exact step: build each distinct row of the sweep (_rows) once,
-    in sorted order, keep the lists passing `keep`, and return the first
-    of each +- pair (_dedup)."""
+    in sorted order, take the first of each +- pair (_dedup), and keep the
+    lists passing `keep`.  `keep` runs once per pair, so it must give a
+    list and its negation the same answer, as every `keep` here does: the
+    norm tests and cutoffs, classify_type and family_membership."""
     rows = sorted(set(map(tuple, _rows(sweep, jobs).tolist())))
-    return _dedup(a for a in map(make_list, rows) if keep(a))
+    return [a for a in _dedup(map(make_list, rows)) if keep(a)]
 
 
 def _is_quarter(a: SignedList) -> bool:
@@ -640,16 +633,20 @@ def _small_norm_6(threshold: Fraction) -> list[SignedList]:
 
 def _small_norm_7(threshold: Fraction) -> list[SignedList]:
     """Length-7 minima: pairable lists over the at-most-4-separated
-    support 2^9*3^3 with norm <= threshold (the global minimum 5/24 is
-    attained here; all other cases exceed it)."""
+    support 2^9*3^3 with norm <= threshold (max 5/24: the global minimum
+    5/24 is attained here; all other cases exceed it)."""
+    if threshold > Fraction(5, 24):
+        raise ValueError("the length-7 catalog is complete only up to 5/24")
     M = 2**9 * 3**3
     groups = (_Group(_signed_divisors(M // 2), 3, (1, -2)), _Group(_signed_divisors(M), 1))
     return _below(threshold, [groups], lambda a: norm(a) <= threshold)
 
 
 def _small_norm_8(threshold: Fraction) -> list[SignedList]:
-    """Length-8 lists over divisors of 30 with norm <= threshold; the
-    global minimum 8/45 is attained on this support."""
+    """Length-8 lists over divisors of 30 with norm <= threshold (max
+    8/45: the global minimum 8/45 is attained on this support)."""
+    if threshold > Fraction(8, 45):
+        raise ValueError("the length-8 catalog is complete only up to 8/45")
     return _below(threshold, [(_Group(_signed_divisors(30), 8),)], lambda a: norm(a) <= threshold)
 
 

@@ -222,6 +222,20 @@ def test_valuation_oracle_smallest_failure_is_frozen():
     assert valuation_oracle(bad, n_max=10)[0] == first
 
 
+def test_valuation_oracle_cap(monkeypatch):
+    # 5 entries times 30 times n_max^2 passes 10^8 from n_max = 817 on; the
+    # acceptance suite's criterion 7 (n_max 200, entries up to 60) stays
+    # below 1.2 * 10^7.  A refused input never reaches the sieve.
+    def no_sieve(limit):
+        raise AssertionError("the sieve was started")
+
+    monkeypatch.setattr("ratio_lab.integrality.primes_upto", no_sieve)
+    with pytest.raises(ValueError, match=r"5 entries times largest entry 30 times n_max\^2 = 817\^2, above the cap"):
+        valuation_oracle(CHEB, n_max=817)
+    with pytest.raises(AssertionError, match="sieve"):
+        valuation_oracle(CHEB, n_max=816)
+
+
 def test_valuation_oracle_on_families():
     rng = random.Random(4)
     for _ in range(10):

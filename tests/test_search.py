@@ -288,6 +288,23 @@ def test_sum_zero_join_jobs_invariant(monkeypatch):
     assert [a.elements for a in sum_zero_divisor_lists(720, 7, jobs=2)] == one and one
 
 
+def test_head_deal_jobs_invariant(monkeypatch):
+    # two jobs deal the heads [part::2]: one head (lead 0, all of it in part
+    # 0), then 78 heads of two parameters (lead 2) under a lowered TAIL_ROWS
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sweep = search._Sweep((search._Group(search._signed_divisors(12), 4),), ("le", 0.3))
+
+    def rows(jobs):  # sorted, so a head dealt twice shows
+        return sorted(map(tuple, search._rows(sweep, jobs).tolist()))
+
+    assert search._n_combos(sweep.groups, [0] * 4) <= search.TAIL_ROWS
+    one = rows(1)
+    assert one and rows(2) == one
+    monkeypatch.setattr(search, "TAIL_ROWS", 100)
+    assert search._n_combos(sweep.groups, [0, 0]) == 78 and search._n_combos(sweep.groups, [0, 0, 0]) > 100
+    assert rows(1) == one and rows(2) == one
+
+
 class _Started(Exception):
     pass
 
@@ -322,6 +339,17 @@ def test_small_norm_3_scan_cap(monkeypatch):
             small_norm_catalog(3, threshold)
     with pytest.raises(_Started):
         small_norm_catalog(3, F(499, 2997))
+
+
+def test_small_norm_complete_only_up_to(monkeypatch):
+    # each length refuses a threshold past the one its catalog is complete to
+    monkeypatch.setattr(search, "_below", _refuse)
+    for n, top in ((4, F(11, 60)), (5, F(31, 168)), (6, F(7, 36)), (7, F(5, 24)), (8, F(8, 45))):
+        for threshold in (top + F(1, 10**6), F(2)):
+            with pytest.raises(ValueError, match=f"complete only up to {top}$"):
+                small_norm_catalog(n, threshold)
+        with pytest.raises(_Started):
+            small_norm_catalog(n, top)
 
 
 @pytest.mark.parametrize(

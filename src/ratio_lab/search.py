@@ -74,7 +74,9 @@ CHUNK = 1 << 13
 
 
 def _signed_divisors(m: int) -> tuple[int, ...]:
-    """Divisors of m of both signs, by ascending |v|, negative first."""
+    """Divisors of m != 0 of both signs, by ascending |v|, negative first."""
+    if m == 0:
+        raise ValueError("a divisor support needs a nonzero modulus: every integer divides 0")
     return tuple(v for d in divisors(m) for v in (-d, d))
 
 
@@ -346,11 +348,13 @@ def _rows(sweep: _Sweep, jobs: int = 1) -> np.ndarray:
     times the largest), and the error bound plus the roundings of the
     target t and of t + FLOAT_TOL, 2u(1 + |t|), below FLOAT_TOL.  Before
     all that, `jobs` outside 1..os.cpu_count() raises ValueError, so a
-    refused pool never starts."""
+    refused pool never starts.  A group without values gives no rows."""
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         raise ValueError(f"jobs must be between 1 and {cpus} (the number of CPUs), got {jobs}")
     length, groups = sweep.length, sweep.groups
+    if not all(g.values for g in groups):
+        return np.empty((0, length), dtype=np.int64)
     biggest = max((abs(m * v) for g in groups for m in g.mults for v in g.values), default=0)
     n = max(map(len, [g.values for g in groups] + [sweep.solved])) if isinstance(sweep.solved, tuple) else 1
     if ((length - 1) * biggest + 1) * n >= 2**63:
@@ -565,106 +569,83 @@ def classify_length(n: int, jobs: int = 1) -> Catalog:
 # small-norm catalogs
 
 
-def _below(threshold: Fraction, shapes, keep) -> list[SignedList]:
-    """The lists passing `keep` in the sweeps over each groups tuple in
-    `shapes`, with the float test <= threshold, deduplicated."""
-    test = ("le", float(threshold))
-    return _dedup(a for groups in shapes for a in _confirm(_Sweep(groups, test), keep))
-
-
-def _small_norm_3(threshold: Fraction) -> list[SignedList]:
-    """Length-3 lists with norm < threshold; finite only below 1/6.
-
-    Any length-3 list with norm < 43/216 is of the form [a, -ka, b] with
+def _shapes_3(threshold: Fraction) -> list[tuple[_Group, ...]]:
+    """Any length-3 list with norm < 43/216 is of the form [a, -ka, b] with
     2 <= k <= 5 and gcd(a, b) = 1, and within each family the norm tends
-    to a limit >= 1/6, so a sub-1/6 threshold gives a finite scan range.
+    to a limit >= 1/6, so a threshold below 1/6 gives a finite scan bound.
     Each shape's cross-term table holds 2 bound x 2k bound floats, so a
-    scan bound above 1000 (thresholds of 333/2000 and up) raises ValueError.
-    """
-    if threshold > Fraction(43, 216):
-        raise ValueError("length-3 catalogs only exist below 43/216")
+    scan bound above 1000 (thresholds of 333/2000 and up) raises ValueError."""
     if threshold >= Fraction(1, 6):
         raise ValueError("infinitely many length-3 lists below thresholds >= 1/6")
     bound = 1 + int(1 / (6 * (Fraction(1, 6) - threshold)))
     if bound > 1000:
         raise ValueError(f"threshold {threshold} needs a scan bound of {bound}, above the cap of 1000")
-    shapes = [(_Group(_box(bound), 1, (1, -k)), _Group(_box(k * bound), 1)) for k in (2, 3, 4, 5)]
-    return _below(threshold, shapes, lambda a: norm(a) < threshold)
+    return [(_Group(_box(bound), 1, (1, -k)), _Group(_box(k * bound), 1)) for k in (2, 3, 4, 5)]
 
 
-def _small_norm_4(threshold: Fraction) -> list[SignedList]:
-    """Non-pairable length-4 lists with norm < threshold (max 11/60).
-
-    Union of the sweep over divisors of 4^3*3^3 = 1728 (covers the
-    at-most-4-separated case) and the [a,-3a,b,-3b] family, which
-    contributes [1,-3,-5,15] at 8/45.
-    """
-    if threshold > Fraction(11, 60):
-        raise ValueError("the length-4 catalog is complete only up to 11/60")
-    family = (_Group(tuple(range(1, 41)), 1, (1, -3)), _Group(_box(40), 1, (1, -3)))
-    shapes = [(_Group(_signed_divisors(1728), 4),), family]
-    return _below(threshold, shapes, lambda a: classify_type(a) == "B" and norm(a) < threshold)
-
-
-def _small_norm_5(threshold: Fraction) -> list[SignedList]:
-    """Pairable length-5 lists [a,-2a,b,-2b,c] with norm <= threshold
-    (max 31/168), swept over the at-most-7-separated support."""
-    if threshold > Fraction(31, 168):
-        raise ValueError("the pairable length-5 catalog is complete only up to 31/168")
-    M = PRESET_MODULI["type_a_sum0_length7"]
-    groups = (_Group(_signed_divisors(M // 2), 2, (1, -2)), _Group(_signed_divisors(M), 1))
-    return _below(threshold, [groups], lambda a: norm(a) <= threshold)
-
-
-def _small_norm_6(threshold: Fraction) -> list[SignedList]:
-    """Non-pairable length-6 lists with norm <= threshold (max 7/36):
-    a sweep over divisors of 2^5*3^4 (the 3-separated case) plus the two
-    structured families from the 4-or-more-separated cases."""
-    if threshold > Fraction(7, 36):
-        raise ValueError("the non-pairable length-6 catalog is complete only up to 7/36")
-    box = _box(100)
-    shapes = [
-        (_Group(_signed_divisors(2**5 * 3**4), 6),),
-        (_Group(box, 1, (1, -2, -3, 6)), _Group(box, 1, (1, -3))),
-        (_Group(box, 2, (1, -2, 4)),),
-    ]
-    return _below(threshold, shapes, lambda a: classify_type(a) == "B" and norm(a) <= threshold)
-
-
-def _small_norm_7(threshold: Fraction) -> list[SignedList]:
-    """Length-7 minima: pairable lists over the at-most-4-separated
-    support 2^9*3^3 with norm <= threshold (max 5/24: the global minimum
-    5/24 is attained here; all other cases exceed it)."""
-    if threshold > Fraction(5, 24):
-        raise ValueError("the length-7 catalog is complete only up to 5/24")
-    M = 2**9 * 3**3
-    groups = (_Group(_signed_divisors(M // 2), 3, (1, -2)), _Group(_signed_divisors(M), 1))
-    return _below(threshold, [groups], lambda a: norm(a) <= threshold)
-
-
-def _small_norm_8(threshold: Fraction) -> list[SignedList]:
-    """Length-8 lists over divisors of 30 with norm <= threshold (max
-    8/45: the global minimum 8/45 is attained on this support)."""
-    if threshold > Fraction(8, 45):
-        raise ValueError("the length-8 catalog is complete only up to 8/45")
-    return _below(threshold, [(_Group(_signed_divisors(30), 8),)], lambda a: norm(a) <= threshold)
+# The small-norm lemmas by length: (the threshold the catalog is complete to,
+# None where _shapes_3 refuses; threshold -> the groups tuples to sweep; note)
+_SMALL_NORM = {
+    3: (None, _shapes_3, "forms [a,-ka,b], 2<=k<=5"),
+    # non-pairable: divisors of 4^3*3^3 = 1728 cover the at-most-4-separated
+    # case, and the [a,-3a,b,-3b] family contributes [1,-3,-5,15] at 8/45
+    4: (
+        Fraction(11, 60),
+        lambda t: [(_Group(_signed_divisors(1728), 4),), (_Group(tuple(range(1, 41)), 1, (1, -3)), _Group(_box(40), 1, (1, -3)))],
+        "non-pairable, sweep over divisors of 1728 plus [a,-3a,b,-3b]",
+    ),
+    # pairable, over the at-most-7-separated support M
+    5: (
+        Fraction(31, 168),
+        lambda t, M=PRESET_MODULI["type_a_sum0_length7"]: [(_Group(_signed_divisors(M // 2), 2, (1, -2)), _Group(_signed_divisors(M), 1))],
+        "pairable [a,-2a,b,-2b,c] over divisors of 2^6*3^2*5^2*7^2",
+    ),
+    # non-pairable: divisors of 2^5*3^4 cover the 3-separated case, and two
+    # structured families the 4-or-more-separated cases
+    6: (
+        Fraction(7, 36),
+        lambda t: [
+            (_Group(_signed_divisors(2**5 * 3**4), 6),),
+            (_Group(_box(100), 1, (1, -2, -3, 6)), _Group(_box(100), 1, (1, -3))),
+            (_Group(_box(100), 2, (1, -2, 4)),),
+        ],
+        "non-pairable, sweep over divisors of 2^5*3^4 plus two families",
+    ),
+    # pairable, over the at-most-4-separated support: the global minimum 5/24
+    # is attained here, and every other case exceeds it
+    7: (
+        Fraction(5, 24),
+        lambda t: [(_Group(_signed_divisors(2**8 * 3**3), 3, (1, -2)), _Group(_signed_divisors(2**9 * 3**3), 1))],
+        "pairable over divisors of 2^9*3^3; global minimum 5/24",
+    ),
+    # the global minimum 8/45 is attained on divisors of 30
+    8: (Fraction(8, 45), lambda t: [(_Group(_signed_divisors(30), 8),)], "sweep over divisors of 30; global minimum 8/45"),
+}
 
 
 def small_norm_catalog(n: int, threshold: Fraction) -> Catalog:
-    """Catalog of small-norm lists of length n at a lemma cutoff."""
+    """Catalog of the small-norm lists of length n at a lemma cutoff.
+
+    It keeps the lists of norm < threshold at lengths 3 and 4 and of norm
+    <= threshold at lengths 5 to 8, at lengths 4 and 6 only non-pairable
+    (type B) ones.  Length 3 takes thresholds below 1/6 that need a scan
+    bound of at most 1000; lengths 4 to 8 take thresholds up to the one
+    their catalog is complete to: 11/60, 31/168, 7/36, 5/24 and 8/45.
+    Any other input raises ValueError before a sweep starts.
+    """
     threshold = Fraction(threshold)
-    builders = {
-        3: (_small_norm_3, "forms [a,-ka,b], 2<=k<=5"),
-        4: (_small_norm_4, "non-pairable, sweep over divisors of 1728 plus [a,-3a,b,-3b]"),
-        5: (_small_norm_5, "pairable [a,-2a,b,-2b,c] over divisors of 2^6*3^2*5^2*7^2"),
-        6: (_small_norm_6, "non-pairable, sweep over divisors of 2^5*3^4 plus two families"),
-        7: (_small_norm_7, "pairable over divisors of 2^9*3^3; global minimum 5/24"),
-        8: (_small_norm_8, "sweep over divisors of 30; global minimum 8/45"),
-    }
-    if n not in builders:
+    if n not in _SMALL_NORM:
         raise ValueError("small-norm catalogs cover lengths 3..8")
-    fn, note = builders[n]
-    return _catalog(f"small_norm_length{n}", fn(threshold), note)
+    cutoff, shapes, note = _SMALL_NORM[n]
+    if cutoff is not None and threshold > cutoff:
+        raise ValueError(f"the length-{n} catalog is complete only up to {cutoff}")
+
+    def keep(a: SignedList) -> bool:  # classify_type first: norm runs only on type B
+        return (n not in (4, 6) or classify_type(a) == "B") and (norm(a) < threshold if n <= 4 else norm(a) <= threshold)
+
+    test = ("le", float(threshold))
+    found = _dedup(a for groups in shapes(threshold) for a in _confirm(_Sweep(groups, test), keep))
+    return _catalog(f"small_norm_length{n}", found, note)
 
 
 # ---------------------------------------------------------------------------
@@ -739,10 +720,7 @@ GOLDEN_NAMES = (
 
 
 def catalog_dir() -> str:
-    override = os.environ.get("RATIO_LAB_CATALOG_DIR")
-    if override:
-        return override
-    return os.path.join(os.path.dirname(__file__), "catalogs")
+    return os.environ.get("RATIO_LAB_CATALOG_DIR") or os.path.join(os.path.dirname(__file__), "catalogs")
 
 
 def load_golden(name: str) -> Catalog:

@@ -199,7 +199,7 @@ def test_small_norm_3_scan_cap_is_usage_error(capsys, monkeypatch):
     def no_scan(*args):
         raise AssertionError("a scan was started")
 
-    monkeypatch.setattr("ratio_lab.search._below", no_scan)
+    monkeypatch.setattr("ratio_lab.search._confirm", no_scan)
     assert run(["small-norm", "--length", "3", "--threshold", "2000/12001"]) == 2
     assert "error: threshold 2000/12001 needs a scan bound of 12002, above the cap of 1000" in capsys.readouterr().err
 
@@ -208,7 +208,7 @@ def test_small_norm_past_complete_threshold_is_usage_error(capsys, monkeypatch):
     def no_scan(*args):
         raise AssertionError("a scan was started")
 
-    monkeypatch.setattr("ratio_lab.search._below", no_scan)
+    monkeypatch.setattr("ratio_lab.search._confirm", no_scan)
     for length, top in (("7", "5/24"), ("8", "8/45")):
         assert run(["small-norm", "--length", length, "--threshold", "2"]) == 2
         assert f"complete only up to {top}" in capsys.readouterr().err

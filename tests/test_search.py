@@ -332,10 +332,14 @@ def test_jobs_bounded_by_cpu_count(monkeypatch):
 
 def test_small_norm_3_scan_cap(monkeypatch):
     # 2000/12001 needs a scan bound of 12002, whose cross-term tables would
-    # take several GB each; 499/2997 needs 1000, 333/2000 needs 1001
-    monkeypatch.setattr(search, "_below", _refuse)
+    # take several GB each; 499/2997 needs 1000, 333/2000 needs 1001; from
+    # 1/6 on no scan bound is finite
+    monkeypatch.setattr(search, "_confirm", _refuse)
     for threshold, bound in ((F(2000, 12001), 12002), (F(333, 2000), 1001)):
         with pytest.raises(ValueError, match=f"needs a scan bound of {bound}, above the cap of 1000"):
+            small_norm_catalog(3, threshold)
+    for threshold in (F(1, 6), F(1, 5)):
+        with pytest.raises(ValueError, match="infinitely many length-3 lists below thresholds >= 1/6$"):
             small_norm_catalog(3, threshold)
     with pytest.raises(_Started):
         small_norm_catalog(3, F(499, 2997))
@@ -343,13 +347,38 @@ def test_small_norm_3_scan_cap(monkeypatch):
 
 def test_small_norm_complete_only_up_to(monkeypatch):
     # each length refuses a threshold past the one its catalog is complete to
-    monkeypatch.setattr(search, "_below", _refuse)
+    monkeypatch.setattr(search, "_confirm", _refuse)
     for n, top in ((4, F(11, 60)), (5, F(31, 168)), (6, F(7, 36)), (7, F(5, 24)), (8, F(8, 45))):
         for threshold in (top + F(1, 10**6), F(2)):
-            with pytest.raises(ValueError, match=f"complete only up to {top}$"):
+            with pytest.raises(ValueError, match=f"^the length-{n} catalog is complete only up to {top}$"):
                 small_norm_catalog(n, threshold)
         with pytest.raises(_Started):
             small_norm_catalog(n, top)
+
+
+def test_small_norm_selection_rule():
+    # norm < threshold at lengths 3 and 4, <= at 5..8, so a list whose norm
+    # is exactly the threshold is left out at 3 and 4 and kept from 5 on
+    assert len(small_norm_catalog(3, F(5, 36)).entries) == 1
+    assert len(small_norm_catalog(3, F(5, 36) + F(1, 10**9)).entries) == 5
+    edge = canonical_pair_key(make_list([1, -3, -5, 15]))
+    assert norm(make_list([1, -3, -5, 15])) == F(8, 45)
+    assert edge not in small_norm_catalog(4, F(8, 45)).keys()
+    assert edge in small_norm_catalog(4, F(11, 60)).keys()
+    for n, top, at_top in ((6, F(7, 36), 2), (7, F(5, 24), 8), (8, F(8, 45), 1)):
+        assert sum(e.norm == top for e in small_norm_catalog(n, top).entries) == at_top
+
+
+def test_empty_support():
+    # every integer divides 0, so a divisor support of 0 is refused; a
+    # sweep over an empty box has no rows
+    with pytest.raises(ValueError, match="every integer divides 0$"):
+        divisor_sweep_5(0)
+    for length in range(2, 8):
+        with pytest.raises(ValueError, match="every integer divides 0$"):
+            sum_zero_divisor_lists(0, length)
+    for a_bound, b_bound in ((1, 0), (0, 0), (0, 5)):
+        assert family_search_5(a_bound, b_bound) == []
 
 
 @pytest.mark.parametrize(

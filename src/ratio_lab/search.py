@@ -21,8 +21,12 @@ cross-term tables.  `_live_rows` drops degenerate and non-primitive
 rows, `_confirm` decides the rest exactly, and a sweep returns one list
 per +- pair (`_dedup`, up to permutation and global sign flip).  One
 rule names a pair: of a list and its negation, the one whose canonical
-tuple starts negative (`canonical_pair_key`); `sum_zero_divisor_lists`
-keeps just that member at every length.  The float test only prunes:
+tuple starts negative (`canonical_pair_key`).  Where every support is
+laid out in (-d, d) pairs, the negation of a row is a row too, and the
+engine visits only the member of each pair that starts negative, which
+halves the work and is the member `_dedup` keeps; so
+`sum_zero_divisor_lists` gets just that member at every length.  The
+float test only prunes:
 every sweep checks that the error bound of `_prefilter_error` is below
 FLOAT_TOL.
 """
@@ -230,7 +234,18 @@ def _scan(args) -> np.ndarray:
     on if both are of one group.  So each multiset is reached once.  Other
     sweeps than sum-zero ones hit every tail row: there the loop takes one
     head at a time, whose hits are a slice of the tail, as gathering them
-    in blocks made most of them 1.2-3.5 times slower (BENCH_layers.json)."""
+    in blocks made most of them 1.2-3.5 times slower (BENCH_layers.json).
+
+    A sweep is +- paired when every group's values, the solved group's
+    included, are (-d, d) pairs and group 0's first multiple is positive,
+    as _signed_divisors and _box lay them out.  Negation then maps index
+    i to i^1 in every group and the float test passes a row exactly when
+    it passes its negation, so of each live row and its negation exactly
+    one has an even first index (a row with both i and i^1 holds d and -d
+    and is not live), and only those rows are visited: the heads whose
+    first index is even, masked before the deal to the shares, or with
+    no head parameter (lead 0) the tail rows whose first index is even.
+    Each of them starts negative, so it is the smaller of its pair."""
     sweep, part, parts = args
     groups, solved, test = sweep.groups, sweep.solved, sweep.test
     owner = [gi for gi, g in enumerate(groups) for _ in range(g.count)]  # group of each parameter
@@ -259,6 +274,8 @@ def _scan(args) -> np.ndarray:
             inner += tables[params[q], params[r]][cols[q], cols[r]]
         return total, inner
 
+    # a +- paired layout (see above): only even first indices are visited
+    paired = groups[0].mults[0] > 0 and all(len(v) % 2 == 0 and (v[0::2] < 0).all() and (v[1::2] == -v[0::2]).all() for v in vals)
     block_idx, rows = _index_rows(groups, block)
     after = 0 < lead < cut and owner[lead - 1] == owner[lead]  # block indices from the prefix's last on
     shared = 0 < cut < len(owner) and owner[cut - 1] == owner[cut]
@@ -274,6 +291,9 @@ def _scan(args) -> np.ndarray:
     out = [np.empty((0, sweep.length), dtype=np.int64)]
     tail_idx, _ = _index_rows(groups, tail)
     key, tail_inner = sums(tail, tail_idx)
+    if paired and not lead:  # the first index is the tail's
+        even = tail_idx[0] % 2 == 0
+        tail_idx, tail_inner = [i[even] for i in tail_idx], tail_inner[even]
     if sum_zero:  # the join key, and the tail rows in its order, in place
         key *= n
         key += tail_idx[0] if shared else 0
@@ -284,7 +304,10 @@ def _scan(args) -> np.ndarray:
     else:  # read in every chunk: in numpy's index type
         tail_idx = [i.astype(np.intp) for i in tail_idx]
     head_idx, heads = _index_rows(groups, owner[:lead])
-    for hi in np.array(head_idx, dtype=np.intp).T.reshape(heads, lead)[part::parts].tolist():
+    head_idx = np.array(head_idx, dtype=np.intp).T.reshape(heads, lead)
+    if paired and lead:  # before the deal, so every share keeps its heads
+        head_idx = head_idx[head_idx[:, 0] % 2 == 0]
+    for hi in head_idx[part::parts].tolist():
         psum = sum(sum(groups[gi].mults) * groups[gi].values[i] for gi, i in zip(owner, hi))
         # the rows of the cross-term and gcd tables that the leading parameters pick
         against = [(tables[owner[q], gq][hi[q]], r) for q in range(lead) for r, gq in enumerate(tail)]
@@ -373,7 +396,11 @@ def _confirm(sweep: _Sweep, keep, jobs: int = 1) -> list[SignedList]:
     in sorted order, take the first of each +- pair (_dedup), and keep the
     lists passing `keep`.  `keep` runs once per pair, so it must give a
     list and its negation the same answer, as every `keep` here does: the
-    norm tests and cutoffs, classify_type and family_membership."""
+    norm tests and cutoffs, classify_type and family_membership.  A +-
+    paired sweep visits only the rows that start negative (_scan): the
+    negation of a row that starts positive is a row that starts negative,
+    so the smallest row of each pair key is visited and _dedup keeps the
+    list it kept when every row was visited."""
     rows = sorted(set(map(tuple, _rows(sweep, jobs).tolist())))
     return [a for a in _dedup(map(make_list, rows)) if keep(a)]
 
@@ -418,14 +445,14 @@ def sum_zero_divisor_lists(modulus: int, length: int, test=None, jobs: int = 1) 
     with all elements dividing the modulus, deduplicated up to
     permutation and global sign flip, in canonical_pair_key order; a
     float `test` (as in _Sweep) prunes.  The join gives each multiset
-    once, in support order, which is canonical order; of each multiset
-    and its negation the one that starts negative, its own
-    canonical_pair_key, is kept and becomes a SignedList directly."""
+    once, in support order, which is canonical order, and the support is
+    +- paired, so it visits only the member of each multiset and its
+    negation that starts negative (_scan): its own canonical_pair_key,
+    which becomes a SignedList directly."""
     if length < 2 or length > 7:
         raise ValueError("supported lengths: 2..7")
     vals = _signed_divisors(modulus)
     rows = _rows(_Sweep((_Group(vals, length - 1),), test, vals), jobs)
-    rows = rows[rows[:, 0] < 0]
     rows = rows[np.lexsort(rows.T[::-1])]
     return [SignedList(t) for c in range(0, len(rows), CHUNK) for t in rows[c : c + CHUNK].tolist()]
 

@@ -34,7 +34,6 @@ from ratio_lab.search import (
     catalog_dir,
     classify_length,
     load_golden,
-    small_norm_catalog,
     sum_zero_divisor_lists,
     verify_catalog,
 )
@@ -118,8 +117,8 @@ def test_criterion_4_classification_regression():
     assert {canonical_pair_key(make_list(t)) for t in nine} == expected
 
 
-def test_criterion_5_small_norm_lemmas():
-    four = small_norm_catalog(4, F(11, 60))
+def test_criterion_5_small_norm_lemmas(small_norm):
+    four = small_norm(4, F(11, 60))
     assert four.to_json() == _golden_json("small_norm_length4")
     sweep_part = [e for e in four.entries if all(1728 % abs(v) == 0 for v in e.list.elements)]
     assert len(sweep_part) == 19
@@ -129,7 +128,7 @@ def test_criterion_5_small_norm_lemmas():
     assert dist == {F(1, 6): 9, F(19, 108): 4, F(17, 96): 2, F(13, 72): 4}
     assert canonical_pair_key(make_list([1, -3, -5, 15])) in four.keys()
 
-    six = small_norm_catalog(6, F(7, 36))
+    six = small_norm(6, F(7, 36))
     assert six.to_json() == _golden_json("small_norm_length6")
     assert six.keys() == {
         canonical_pair_key(make_list([1, -2, -3, 4, 6, -12])),
@@ -137,11 +136,11 @@ def test_criterion_5_small_norm_lemmas():
         canonical_pair_key(make_list([1, -3, -4, 8, 12, -24])),
     }
 
-    seven = small_norm_catalog(7, F(5, 24))
+    seven = small_norm(7, F(5, 24))
     assert seven.entries and all(e.norm == F(5, 24) for e in seven.entries)
     assert canonical_pair_key(make_list([1, -2, -3, 6, 9, -18, 36])) in seven.keys()
 
-    eight = small_norm_catalog(8, F(8, 45))
+    eight = small_norm(8, F(8, 45))
     assert [e.norm for e in eight.entries] == [F(8, 45)]
     assert eight.keys() == {canonical_pair_key(make_list([1, -2, -3, 6, -5, 10, 15, -30]))}
 

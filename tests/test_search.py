@@ -3,7 +3,7 @@ import os
 import random
 import re
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -47,8 +47,8 @@ def test_family_search_5_box_widening_adds_nothing():
     assert widened == base
 
 
-def test_small_norm_4_catalog():
-    cat = small_norm_catalog(4, F(11, 60))
+def test_small_norm_4_catalog(small_norm):
+    cat = small_norm(4, F(11, 60))
     assert len(cat.entries) == 20
     by_norm = {}
     for e in cat.entries:
@@ -58,8 +58,8 @@ def test_small_norm_4_catalog():
     assert canonical_pair_key(make_list([1, -3, -5, 15])) in cat.keys()
 
 
-def test_small_norm_5_catalog():
-    cat = small_norm_catalog(5, F(31, 168))
+def test_small_norm_5_catalog(small_norm):
+    cat = small_norm(5, F(31, 168))
     assert len(cat.entries) == 25
     norms = sorted(e.norm for e in cat.entries)
     assert norms.count(F(11, 60)) == 12
@@ -68,30 +68,30 @@ def test_small_norm_5_catalog():
         assert classify_type(e.list) == "A"
 
 
-def test_small_norm_7_minimum():
-    cat = small_norm_catalog(7, F(5, 24))
+def test_small_norm_7_minimum(small_norm):
+    cat = small_norm(7, F(5, 24))
     assert min(e.norm for e in cat.entries) == F(5, 24)
     assert all(e.norm == F(5, 24) for e in cat.entries)
     assert canonical_pair_key(make_list([1, -2, -3, 6, 9, -18, 36])) in cat.keys()
 
 
-def test_small_norm_8_minimum():
-    cat = small_norm_catalog(8, F(8, 45))
+def test_small_norm_8_minimum(small_norm):
+    cat = small_norm(8, F(8, 45))
     assert [e.norm for e in cat.entries] == [F(8, 45)]
     assert cat.keys() == keys([make_list([1, -2, -3, 6, -5, 10, 15, -30])])
 
 
-def test_small_norm_3_matches_box_reference():
-    cat = small_norm_catalog(3, F(1, 7))
+def test_small_norm_3_matches_box_reference(small_norm):
+    cat = small_norm(3, F(1, 7))
     assert len(cat.entries) == 5
     assert canonical_pair_key(make_list([1, -2, 4])) in cat.keys()
     assert min(e.norm for e in cat.entries) == F(1, 8)
 
 
-def test_length4_catalog_involution_behaviour():
+def test_length4_catalog_involution_behaviour(small_norm):
     # the involution preserves the norm on every entry; images that stay
     # at length 4 land back inside the catalog (up to sign)
-    cat = small_norm_catalog(4, F(11, 60))
+    cat = small_norm(4, F(11, 60))
     ckeys = cat.keys()
     fixed = 0
     for e in cat.entries:
@@ -305,6 +305,83 @@ def test_head_deal_jobs_invariant(monkeypatch):
     assert rows(1) == one and rows(2) == one
 
 
+def test_paired_heads_masked_before_the_deal():
+    # the join of sum_zero_divisor_lists(720, 7) has one lead parameter; the
+    # odd first indices go before the heads are dealt, so both of two shares
+    # work (_scan takes its share directly, so no CPU count is read)
+    vals = search._signed_divisors(720)
+    sweep = search._Sweep((search._Group(vals, 6),), None, vals)
+    shares = [search._scan((sweep, part, 2)).tolist() for part in (0, 1)]
+    assert all(shares)
+    assert sorted(shares[0] + shares[1]) == sorted(search._scan((sweep, 0, 1)).tolist())
+
+
+def _live_candidates(sweep):
+    """Every live row of a sweep by brute force, in the engine's layout,
+    mapped to its +- class.  A row is a multiset of parameters per group,
+    in support order, each giving its multiples, then minus the row sum
+    if `solved` is True; a support `solved` (equal to the one group's
+    values here) adds one parameter that brings the sum to zero.  The
+    class is the smaller of the row and the row of the negated parameters."""
+    groups, solved = sweep.groups, sweep.solved
+    joined = isinstance(solved, tuple)
+
+    def layout(params):
+        row = tuple(m * v for g, ps in zip(groups, params) for v in ps for m in g.mults)
+        return row + (-sum(row),) if solved is True else row
+
+    out = {}
+    for params in product(*(combinations_with_replacement(g.values, g.count + joined) for g in groups)):
+        row = layout(params)
+        if (joined and sum(row)) or 0 in row:
+            continue
+        a = make_list(row)
+        if a.length == len(row) and a.is_primitive() and (sweep.test is None or norm(a) <= F(sweep.test[1])):
+            negated = tuple(tuple(sorted((-v for v in ps), key=_support_order)) for ps in params)
+            out[row] = min(row, layout(negated))
+    return out
+
+
+@pytest.mark.parametrize(
+    "groups, test, solved, tail_rows",
+    [
+        ((search._Group(S12, 4),), ("le", 0.3), False, search.TAIL_ROWS),
+        ((search._Group(S12, 4),), ("le", 0.3), False, 100),  # as in test_head_deal_jobs_invariant
+        ((search._Group(search._box(6), 1, (1, -2)), search._Group(search._box(4), 1, (1, -3))), None, True, search.TAIL_ROWS),
+        ((search._Group(S12, 3),), None, S12, search.TAIL_ROWS),
+    ],
+    ids=["lead-0", "lead-2", "family-lead-0", "join-lead-1"],
+)
+def test_paired_sweep_visits_one_row_per_pair(monkeypatch, groups, test, solved, tail_rows):
+    # on (-d, d) supports every row starts negative, one per +- class
+    monkeypatch.setattr(search, "TAIL_ROWS", tail_rows)
+    sweep = search._Sweep(groups, test, solved)
+    ref = _live_candidates(sweep)
+    classes = set(ref.values())
+    assert len(ref) == 2 * len(classes)
+    ours = list(map(tuple, search._rows(sweep).tolist()))
+    assert all(r[0] < 0 for r in ours)
+    assert len(set(ours)) == len(ours) == len(classes)
+    assert set(ours) <= ref.keys() and {ref[r] for r in ours} == classes
+
+
+@pytest.mark.parametrize(
+    "groups, test",
+    [
+        # the length-4 lemma's [a,-3a,b,-3b] family: a is positive only
+        ((search._Group(tuple(range(1, 41)), 1, (1, -3)), search._Group(search._box(40), 1, (1, -3))), ("le", 0.2)),
+        # pairs laid out (d, -d): the rows that start negative are not the smaller ones
+        ((search._Group(tuple(-v for v in S12), 4),), ("le", 0.3)),
+    ],
+    ids=["positive-only", "positive-first"],
+)
+def test_unpaired_sweep_visits_every_row(groups, test):
+    sweep = search._Sweep(groups, test)
+    ref = sorted(_live_candidates(sweep))
+    assert ref
+    assert sorted(map(tuple, search._rows(sweep).tolist())) == ref
+
+
 class _Started(Exception):
     pass
 
@@ -356,17 +433,17 @@ def test_small_norm_complete_only_up_to(monkeypatch):
             small_norm_catalog(n, top)
 
 
-def test_small_norm_selection_rule():
+def test_small_norm_selection_rule(small_norm):
     # norm < threshold at lengths 3 and 4, <= at 5..8, so a list whose norm
     # is exactly the threshold is left out at 3 and 4 and kept from 5 on
-    assert len(small_norm_catalog(3, F(5, 36)).entries) == 1
-    assert len(small_norm_catalog(3, F(5, 36) + F(1, 10**9)).entries) == 5
+    assert len(small_norm(3, F(5, 36)).entries) == 1
+    assert len(small_norm(3, F(5, 36) + F(1, 10**9)).entries) == 5
     edge = canonical_pair_key(make_list([1, -3, -5, 15]))
     assert norm(make_list([1, -3, -5, 15])) == F(8, 45)
-    assert edge not in small_norm_catalog(4, F(8, 45)).keys()
-    assert edge in small_norm_catalog(4, F(11, 60)).keys()
+    assert edge not in small_norm(4, F(8, 45)).keys()
+    assert edge in small_norm(4, F(11, 60)).keys()
     for n, top, at_top in ((6, F(7, 36), 2), (7, F(5, 24), 8), (8, F(8, 45), 1)):
-        assert sum(e.norm == top for e in small_norm_catalog(n, top).entries) == at_top
+        assert sum(e.norm == top for e in small_norm(n, top).entries) == at_top
 
 
 def test_empty_support():

@@ -177,6 +177,8 @@ def g_tilde_lower(table: BoundTable, n: int, d: int):
     and the G table value for even parts >= 4."""
     if n < 2 or d < 0:
         raise ValueError("need n >= 2 and d >= 0")
+    if n > table.n_max:
+        raise ValueError("table too small")
     base = [INFINITY] * (n + 1)
     for ell in range(3, n + 1):
         if ell % 2 == 1:
@@ -195,7 +197,9 @@ def max_length_for_D(table: BoundTable, D: int, *, use_g1: bool = False) -> int:
     parity are admissible; any list norm is at most D^2/4.  Returns one
     more than the largest admissible n with bound <= D^2/4, i.e. the
     published cutoffs: D=2 gives 81 from the g row (none beyond) and 75
-    from the g1 row (finitely many beyond); D=1 gives 10.
+    from the g1 row (finitely many beyond); D=1 gives 10.  The row need
+    not be monotone, so the cutoff depends on n_max: at r_max 2, G(90..94)
+    > 1 > G(96), and D=2 reads 89 at n_max 90..95 and 97 from 98 on.
     """
     if D < 1:
         raise ValueError("D must be at least 1")

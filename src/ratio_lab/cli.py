@@ -20,6 +20,7 @@ docstrings), and that is a usage error, exit 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -146,9 +147,8 @@ def _cmd_bounds(args) -> int:
     g_row = {str(n): _frac(table.g[n]) for n in range(2, args.nmax + 1)}
     g1_row = {str(n): _frac(table.g1[n]) for n in range(2, args.nmax + 1)}
     payload = {"n_max": args.nmax, "G": g_row, "G1": g1_row}
-    if args.nmax >= 82:
-        payload["max_length_D2"] = max_length_for_D(table, 2)
-        payload["max_length_D2_g1"] = max_length_for_D(table, 2, use_g1=True)
+    with contextlib.suppress(ValueError):  # the D = 2 cutoffs, where the table witnesses both crossings
+        payload |= {"max_length_D2": max_length_for_D(table, 2), "max_length_D2_g1": max_length_for_D(table, 2, use_g1=True)}
     lines = ["n    G(n)        G(n;1)"]
     for n in range(2, args.nmax + 1):
         lines.append(f"{n:<4} {g_row[str(n)]:<11} {g1_row[str(n)]}")

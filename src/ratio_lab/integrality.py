@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd
 
 from ratio_lab.arith import primes_upto
@@ -66,9 +65,6 @@ class RatioSpec:
     @property
     def D(self) -> int:
         return self.L - self.K
-
-    def is_primitive(self) -> bool:
-        return reduce(gcd, self.numerator + self.denominator) == 1
 
     @classmethod
     def from_list(cls, a: SignedList) -> "RatioSpec":

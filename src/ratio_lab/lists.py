@@ -16,6 +16,7 @@ N([1,-2,-3,6]) = 1/9, N([1,-6,-10,-15,30]) = 1/4.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -39,29 +40,18 @@ __all__ = [
 HALF = Fraction(1, 2)
 
 
+@dataclass(frozen=True, slots=True)
 class SignedList:
-    """Immutable canonical non-degenerate list of nonzero integers."""
+    """Immutable canonical non-degenerate list of nonzero integers; callers
+    go through make_list, which cancels and sorts."""
 
-    __slots__ = ("elements",)
-
-    def __init__(self, elements: tuple[int, ...]):
-        # callers go through make_list, which cancels and sorts
-        object.__setattr__(self, "elements", tuple(elements))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedList is immutable")
+    elements: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SignedList) and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash(self.elements)
 
     def __repr__(self) -> str:
         return f"SignedList({list(self.elements)!r})"

@@ -13,8 +13,8 @@ a recombination of [1,-2,-3,6] with the small-norm length-5 catalogue.
 Every sweep is data (`_Sweep`) run by one engine, `_scan`: parameter
 groups (a support, how many parameters are drawn from it, the multiples
 m*v a parameter v contributes), an optional last element solved from the
-zero sum, a float test (== target or <= bound) and an exact `keep`
-predicate.  The engine is one sorted join: each head of parameters takes
+zero sum, a float norm bound (1/4 for every classification sweep) and an
+exact `keep` predicate.  The engine is one sorted join: each head takes
 one searchsorted range of the sorted tail rows, so only rows that can
 hit are visited, each multiset once, and their float norms come from
 cross-term tables.  `_live_rows` drops degenerate and non-primitive
@@ -26,9 +26,8 @@ laid out in (-d, d) pairs, the negation of a row is a row too, and the
 engine visits only the member of each pair that starts negative, which
 halves the work and is the member `_dedup` keeps; so
 `sum_zero_divisor_lists` gets just that member at every length.  The
-float test only prunes:
-every sweep checks that the error bound of `_prefilter_error` is below
-FLOAT_TOL.
+float bound only prunes: every sweep checks that the error bound of
+`_prefilter_error` is below FLOAT_TOL.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import numpy as np
 from ratio_lab.arith import divisors
 from ratio_lab.integrality import RatioSpec, family_membership, is_integral, norm_quarter_check
 from ratio_lab.lists import SignedList, classify_type, concat, make_list, norm, norm_by_integration, scale
-from ratio_lab.separation import PRESET_MODULI, forced_coefficients
+from ratio_lab.separation import forced_coefficients
 
 __all__ = [
     "Catalog",
@@ -66,7 +65,6 @@ __all__ = [
 ]
 
 QUARTER = Fraction(1, 4)
-QUARTER_TEST = ("eq", 0.25)
 # float prefilter tolerance; _rows proves on every sweep that it exceeds
 # the float error (_prefilter_error)
 FLOAT_TOL = 5e-13
@@ -75,6 +73,9 @@ FLOAT_TOL = 5e-13
 # rows), and heads and hits go CHUNK rows per numpy call
 TAIL_ROWS = 1 << 17
 CHUNK = 1 << 13
+# the at-most-7-separated support of pairable sum-zero lists (the length-7 type A
+# sweep, the length-5 lemma); quoted from the source analysis, not derived
+PAIRABLE_SUPPORT = 2**6 * 3**2 * 5**2 * 7**2
 
 
 def _signed_divisors(m: int) -> tuple[int, ...]:
@@ -133,11 +134,13 @@ class _Sweep:
     order, then, if `solved` is set, minus their sum, which must be
     nonzero (True) or one of the values in `solved`.  _scan makes such a
     last element one more parameter, of the last group if that group's
-    values are `solved` (then each multiset is reached once).  `test` is
-    the float prefilter: ("eq", target), ("le", bound) or None."""
+    values are `solved` (then each multiset is reached once).  `bound`,
+    if set, keeps rows of float norm <= bound + FLOAT_TOL; norm-1/4
+    searches take 0.25, as odd-length sum-zero rows have norm >= 1/4
+    (tests/test_lists.py::test_odd_sum_zero_norm_at_least_quarter)."""
 
     groups: tuple[_Group, ...]
-    test: tuple[str, float] | None = None
+    bound: float | None = None
     solved: bool | tuple[int, ...] = False
 
     @property
@@ -239,15 +242,15 @@ def _scan(args) -> np.ndarray:
     A sweep is +- paired when every group's values, the solved group's
     included, are (-d, d) pairs and group 0's first multiple is positive,
     as _signed_divisors and _box lay them out.  Negation then maps index
-    i to i^1 in every group and the float test passes a row exactly when
-    it passes its negation, so of each live row and its negation exactly
+    i to i^1 in every group and the float bound keeps a row exactly when
+    it keeps its negation, so of each live row and its negation exactly
     one has an even first index (a row with both i and i^1 holds d and -d
-    and is not live), and only those rows are visited: the heads whose
-    first index is even, masked before the deal to the shares, or with
-    no head parameter (lead 0) the tail rows whose first index is even.
-    Each of them starts negative, so it is the smaller of its pair."""
+    and is not live), and only those rows are visited.  One mask, before
+    any sums, keeps them: on the heads, before the deal to the shares, or
+    with no head parameter (lead 0) on the tail rows.  Each kept row
+    starts negative, so it is the smaller of its pair."""
     sweep, part, parts = args
-    groups, solved, test = sweep.groups, sweep.solved, sweep.test
+    groups, solved, bound = sweep.groups, sweep.solved, sweep.bound
     owner = [gi for gi, g in enumerate(groups) for _ in range(g.count)]  # group of each parameter
     sum_zero = isinstance(solved, tuple)
     if sum_zero:
@@ -265,17 +268,15 @@ def _scan(args) -> np.ndarray:
     tables = {pair: _cross(groups[pair[0]], groups[pair[1]]) for pair in set(combinations(owner, 2))}
 
     def sums(params, cols):
-        """Element sums for a join and, for a float test, inner cross terms of rows (one row for none)."""
+        """Element sums for a join and, for a float bound, inner cross terms of rows (one row for none)."""
         rows = len(cols[0]) if cols else 1
         total, inner = np.zeros(rows, dtype=np.int64), np.zeros(rows)
         for gi, i in zip(params, cols) if sum_zero else ():
             total += sum(groups[gi].mults) * vals[gi][i]
-        for q, r in combinations(range(len(params)) if test else (), 2):
+        for q, r in combinations(range(len(params)) if bound is not None else (), 2):
             inner += tables[params[q], params[r]][cols[q], cols[r]]
         return total, inner
 
-    # a +- paired layout (see above): only even first indices are visited
-    paired = groups[0].mults[0] > 0 and all(len(v) % 2 == 0 and (v[0::2] < 0).all() and (v[1::2] == -v[0::2]).all() for v in vals)
     block_idx, rows = _index_rows(groups, block)
     after = 0 < lead < cut and owner[lead - 1] == owner[lead]  # block indices from the prefix's last on
     shared = 0 < cut < len(owner) and owner[cut - 1] == owner[cut]
@@ -289,11 +290,14 @@ def _scan(args) -> np.ndarray:
     gcds = solved is True and _n_combos(groups, owner) >= top and all(top % x == 0 for x in elements)
     slot, tabs = _gcd_tables(groups, top) if gcds else (None, None)
     out = [np.empty((0, sweep.length), dtype=np.int64)]
+    head_idx, _ = _index_rows(groups, owner[:lead])
     tail_idx, _ = _index_rows(groups, tail)
+    # a +- paired layout (see above): only even first indices of parameter 0 are visited
+    if groups[0].mults[0] > 0 and all(len(v) % 2 == 0 and (v[0::2] < 0).all() and (v[1::2] == -v[0::2]).all() for v in vals):
+        first = head_idx if lead else tail_idx
+        even = first[0] % 2 == 0
+        first[:] = [i[even] for i in first]
     key, tail_inner = sums(tail, tail_idx)
-    if paired and not lead:  # the first index is the tail's
-        even = tail_idx[0] % 2 == 0
-        tail_idx, tail_inner = [i[even] for i in tail_idx], tail_inner[even]
     if sum_zero:  # the join key, and the tail rows in its order, in place
         key *= n
         key += tail_idx[0] if shared else 0
@@ -303,11 +307,7 @@ def _scan(args) -> np.ndarray:
         del order
     else:  # read in every chunk: in numpy's index type
         tail_idx = [i.astype(np.intp) for i in tail_idx]
-    head_idx, heads = _index_rows(groups, owner[:lead])
-    head_idx = np.array(head_idx, dtype=np.intp).T.reshape(heads, lead)
-    if paired and lead:  # before the deal, so every share keeps its heads
-        head_idx = head_idx[head_idx[:, 0] % 2 == 0]
-    for hi in head_idx[part::parts].tolist():
+    for hi in (np.transpose(head_idx).tolist() if lead else [[]])[part::parts]:
         psum = sum(sum(groups[gi].mults) * groups[gi].values[i] for gi, i in zip(owner, hi))
         # the rows of the cross-term and gcd tables that the leading parameters pick
         against = [(tables[owner[q], gq][hi[q]], r) for q in range(lead) for r, gq in enumerate(tail)]
@@ -338,7 +338,7 @@ def _scan(args) -> np.ndarray:
                 if solved is True:
                     cols.append(-sum(cols))
                 hit = slice(None)
-                if test:
+                if bound is not None:
                     total = base[h] + tail_inner[t]
                     for row, r in against:
                         total += row[ci[r]]
@@ -353,8 +353,7 @@ def _scan(args) -> np.ndarray:
                         else:
                             terms = [np.gcd(x, e).astype(np.float64) ** 2 / x for x in cols[:-1]]
                         total += sum(terms) / e
-                    nrm = total / 6
-                    hit = np.abs(nrm - test[1]) < FLOAT_TOL if test[0] == "eq" else nrm <= test[1] + FLOAT_TOL
+                    hit = total / 6 <= bound + FLOAT_TOL
                     if not hit.any():
                         continue
                 found = np.column_stack([np.broadcast_to(x, (c1 - c0,))[hit] for x in cols])
@@ -363,15 +362,15 @@ def _scan(args) -> np.ndarray:
 
 
 def _rows(sweep: _Sweep, jobs: int = 1) -> np.ndarray:
-    """Every row of a sweep that passes the float test and _live_rows, with
+    """Every row of a sweep that passes the float bound and _live_rows, with
     _scan's prefix loop sharded over `jobs` processes.  First check that
     int64 holds a sum of length - 1 elements times n, plus n (n = 1, or
-    for a sum-zero join key the support size), and that a float test is
+    for a sum-zero join key the support size), and that a float bound t is
     sound: elements exact in float64 (the solved one is at most `length`
-    times the largest), and the error bound plus the roundings of the
-    target t and of t + FLOAT_TOL, 2u(1 + |t|), below FLOAT_TOL.  Before
-    all that, `jobs` outside 1..os.cpu_count() raises ValueError, so a
-    refused pool never starts.  A group without values gives no rows."""
+    times the largest), and the error bound plus the roundings of t and
+    of t + FLOAT_TOL, 2u(1 + |t|), below FLOAT_TOL.  Before all that,
+    `jobs` outside 1..os.cpu_count() raises ValueError, so a refused pool
+    never starts.  A group without values gives no rows."""
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         raise ValueError(f"jobs must be between 1 and {cpus} (the number of CPUs), got {jobs}")
@@ -382,9 +381,9 @@ def _rows(sweep: _Sweep, jobs: int = 1) -> np.ndarray:
     n = max(map(len, [g.values for g in groups] + [sweep.solved])) if isinstance(sweep.solved, tuple) else 1
     if ((length - 1) * biggest + 1) * n >= 2**63:
         raise ValueError(f"row sums times {n} support values (the join key) overflow int64")
-    bound = _prefilter_error(length) + 2.0**-52 * (1 + abs(sweep.test[1] if sweep.test else 0))
-    if sweep.test and (length * biggest >= 2**53 or not bound < FLOAT_TOL):
-        raise ArithmeticError(f"float prefilter bound {bound:.2e} is not below FLOAT_TOL {FLOAT_TOL:.2e}")
+    err = _prefilter_error(length) + 2.0**-52 * (1 + abs(sweep.bound or 0))
+    if sweep.bound is not None and (length * biggest >= 2**53 or not err < FLOAT_TOL):
+        raise ArithmeticError(f"float prefilter bound {err:.2e} is not below FLOAT_TOL {FLOAT_TOL:.2e}")
     if jobs == 1:
         return _scan((sweep, 0, 1))
     with Pool(jobs) as pool:
@@ -419,20 +418,18 @@ def family_search_5(a_bound: int = 108, b_bound: int = 72) -> list[SignedList]:
     The derived bound |ab| <= 36, |bc| <= 36 or |ac| <= 72 confines any
     norm-1/4 member of this family to |a| <= 108, |b| <= 72.
     """
-    sweep = _Sweep((_Group(_box(a_bound), 1, (1, -2)), _Group(_box(b_bound), 1, (1, -3))), QUARTER_TEST, True)
+    sweep = _Sweep((_Group(_box(a_bound), 1, (1, -2)), _Group(_box(b_bound), 1, (1, -3))), 0.25, True)
     return _confirm(sweep, lambda a: _is_quarter(a) and family_membership(a) == "sporadic")
 
 
-def divisor_sweep_5(modulus: int | None = None, jobs: int = 1) -> list[SignedList]:
+def divisor_sweep_5(modulus: int = 2**6 * 3**3 * 5**3, jobs: int = 1) -> list[SignedList]:
     """All norm-1/4 length-5 lists with four elements dividing the modulus.
 
     The fifth element is forced by the zero-sum condition and need not
-    divide the modulus.  ~10^8 raw multisets; float prefilter + exact
-    confirmation.
+    divide the modulus, whose default is quoted from the source analysis,
+    not derived.  ~10^8 raw multisets; float prefilter + exact confirmation.
     """
-    if modulus is None:
-        modulus = PRESET_MODULI["length5_sum0_four_elements"]
-    sweep = _Sweep((_Group(_signed_divisors(modulus), 4),), QUARTER_TEST, True)
+    sweep = _Sweep((_Group(_signed_divisors(modulus), 4),), 0.25, True)
     return _confirm(sweep, _is_quarter, jobs)
 
 
@@ -440,21 +437,22 @@ def divisor_sweep_5(modulus: int | None = None, jobs: int = 1) -> list[SignedLis
 # generic sum-zero sweep over a divisor support (lengths 2..7)
 
 
-def sum_zero_divisor_lists(modulus: int, length: int, test=None, jobs: int = 1) -> list[SignedList]:
+def sum_zero_divisor_lists(modulus: int, length: int, bound: float | None = None, jobs: int = 1) -> list[SignedList]:
     """Every primitive non-degenerate sum-zero list of the given length
     with all elements dividing the modulus, deduplicated up to
-    permutation and global sign flip, in canonical_pair_key order; a
-    float `test` (as in _Sweep) prunes.  The join gives each multiset
-    once, in support order, which is canonical order, and the support is
-    +- paired, so it visits only the member of each multiset and its
-    negation that starts negative (_scan): its own canonical_pair_key,
-    which becomes a SignedList directly."""
+    permutation and global sign flip, in canonical_pair_key order.  A
+    float norm `bound` (as in _Sweep) only prunes: a list it keeps may
+    lie up to FLOAT_TOL above it, so the caller confirms exactly.  The
+    join gives each multiset once, in support order, which is canonical
+    order, and the support is +- paired, so it visits only the member of
+    each multiset and its negation that starts negative (_scan): its own
+    canonical_pair_key, which becomes a SignedList directly."""
     if length < 2 or length > 7:
         raise ValueError("supported lengths: 2..7")
     vals = _signed_divisors(modulus)
-    rows = _rows(_Sweep((_Group(vals, length - 1),), test, vals), jobs)
+    rows = _rows(_Sweep((_Group(vals, length - 1),), bound, vals), jobs)
     rows = rows[np.lexsort(rows.T[::-1])]
-    return [SignedList(t) for c in range(0, len(rows), CHUNK) for t in rows[c : c + CHUNK].tolist()]
+    return [SignedList(tuple(t)) for c in range(0, len(rows), CHUNK) for t in rows[c : c + CHUNK].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +461,8 @@ def sum_zero_divisor_lists(modulus: int, length: int, test=None, jobs: int = 1) 
 
 def _type_a_sweep_7(jobs: int = 1) -> list[SignedList]:
     """Pairable [a,-2a,b,-2b,c,-2c,d=a+b+c] with elements dividing
-    2^6*3^2*5^2*7^2 (the at-most-7-separated sum-zero support)."""
-    M = PRESET_MODULI["type_a_sum0_length7"]
-    sweep = _Sweep((_Group(_signed_divisors(M // 2), 3, (1, -2)),), QUARTER_TEST, _signed_divisors(M))
+    PAIRABLE_SUPPORT = 2^6*3^2*5^2*7^2."""
+    sweep = _Sweep((_Group(_signed_divisors(PAIRABLE_SUPPORT // 2), 3, (1, -2)),), 0.25, _signed_divisors(PAIRABLE_SUPPORT))
     return _confirm(sweep, _is_quarter, jobs)
 
 
@@ -474,14 +471,14 @@ def _type_a3_sweep_7(jobs: int = 1) -> list[SignedList]:
     (the plain at-most-5-separated support; sound but not sharp)."""
     M = 2**12 * 3**6 * 5**6
     groups = (_Group(_signed_divisors(M // 2), 2, (1, -2)), _Group(_signed_divisors(M // 3), 1, (1, -3)))
-    return _confirm(_Sweep(groups, QUARTER_TEST, _signed_divisors(M)), _is_quarter, jobs)
+    return _confirm(_Sweep(groups, 0.25, _signed_divisors(M)), _is_quarter, jobs)
 
 
 def _type_b_sweep_7(jobs: int = 1) -> list[SignedList]:
     """Sum-zero sweep over divisors of 2^10*3^5 (the at-most-4-separated
-    support for non-pairable lists), keeping norm-1/4 results."""
-    M = PRESET_MODULI["type_b_length7_at_most_4_separated"]
-    return list(filter(_is_quarter, sum_zero_divisor_lists(M, 7, QUARTER_TEST, jobs)))
+    support for non-pairable lists, quoted from the source analysis, not
+    derived), keeping norm-1/4 results."""
+    return list(filter(_is_quarter, sum_zero_divisor_lists(2**10 * 3**5, 7, 0.25, jobs)))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +489,7 @@ def _type_a_sweep_9(jobs: int = 1) -> list[SignedList]:
     """Pairable [a,-2a,...,d,-2d,e=a+b+c+d] with elements dividing
     2^16*3^8 (the plain at-most-4-separated support for length 9)."""
     M = 2**16 * 3**8
-    sweep = _Sweep((_Group(_signed_divisors(M // 2), 4, (1, -2)),), QUARTER_TEST, _signed_divisors(M))
+    sweep = _Sweep((_Group(_signed_divisors(M // 2), 4, (1, -2)),), 0.25, _signed_divisors(M))
     return _confirm(sweep, _is_quarter, jobs)
 
 
@@ -621,10 +618,10 @@ _SMALL_NORM = {
         lambda t: [(_Group(_signed_divisors(1728), 4),), (_Group(tuple(range(1, 41)), 1, (1, -3)), _Group(_box(40), 1, (1, -3)))],
         "non-pairable, sweep over divisors of 1728 plus [a,-3a,b,-3b]",
     ),
-    # pairable, over the at-most-7-separated support M
+    # pairable, over PAIRABLE_SUPPORT
     5: (
         Fraction(31, 168),
-        lambda t, M=PRESET_MODULI["type_a_sum0_length7"]: [(_Group(_signed_divisors(M // 2), 2, (1, -2)), _Group(_signed_divisors(M), 1))],
+        lambda t: [(_Group(_signed_divisors(PAIRABLE_SUPPORT // 2), 2, (1, -2)), _Group(_signed_divisors(PAIRABLE_SUPPORT), 1))],
         "pairable [a,-2a,b,-2b,c] over divisors of 2^6*3^2*5^2*7^2",
     ),
     # non-pairable: divisors of 2^5*3^4 cover the 3-separated case, and two
@@ -670,8 +667,7 @@ def small_norm_catalog(n: int, threshold: Fraction) -> Catalog:
     def keep(a: SignedList) -> bool:  # classify_type first: norm runs only on type B
         return (n not in (4, 6) or classify_type(a) == "B") and (norm(a) < threshold if n <= 4 else norm(a) <= threshold)
 
-    test = ("le", float(threshold))
-    found = _dedup(a for groups in shapes(threshold) for a in _confirm(_Sweep(groups, test), keep))
+    found = _dedup(a for groups in shapes(threshold) for a in _confirm(_Sweep(groups, float(threshold)), keep))
     return _catalog(f"small_norm_length{n}", found, note)
 
 

@@ -43,19 +43,7 @@ __all__ = [
     "check_decomposition",
     "support_bound",
     "forced_coefficients",
-    "PRESET_MODULI",
 ]
-
-# Search presets quoted from the source analysis for special list shapes;
-# these are data, not re-derived (the general-position bound comes from
-# support_bound()).
-PRESET_MODULI = {
-    "length7_at_most_7_separated": 2**12 * 3**6 * 5**6 * 7**6,
-    "type_a_length7": 2**9 * 3**3 * 5**3 * 7**3,
-    "type_a_sum0_length7": 2**6 * 3**2 * 5**2 * 7**2,
-    "length5_sum0_four_elements": 2**6 * 3**3 * 5**3,
-    "type_b_length7_at_most_4_separated": 2**10 * 3**5,
-}
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,13 @@ def test_g_tilde_lower():
                 assert g_tilde_lower(TABLE, n, d) >= F(d, 12) + F(7, 36)
 
 
+def test_lower_bounds_refuse_a_too_small_table():
+    table = build_table(10)
+    for lower in (g_nd_lower, g_tilde_lower):
+        with pytest.raises(ValueError, match="table too small"):
+            lower(table, 20, 1)
+
+
 def test_g_tilde_dimension_inequality_for_D1():
     # sum-zero lists of excess D escape dimension 3D^2-1 only with norm
     # above D^2/4; checked at D=1 for the lengths the table covers
@@ -198,3 +205,7 @@ def test_max_length_for_D():
     assert max_length_for_D(table, 1) == 10
     with pytest.raises(ValueError):
         max_length_for_D(TABLE, 3)  # table too small to cross 9/4
+    # the r_max = 2 row is above 1 at 90..94 but not at 96: the cutoff depends on n_max
+    assert [max_length_for_D(build_table(n, 2), 2) for n in (90, 95, 98)] == [89, 89, 97]
+    with pytest.raises(ValueError):
+        max_length_for_D(build_table(96, 2), 2)

@@ -107,6 +107,20 @@ def test_bounds_table(capsys):
     assert len(data["G"]) == 10
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("nmax, rmax", [(85, 2), (100, 1)])
+def test_bounds_table_without_the_crossing(capsys, fmt, nmax, rmax):
+    # these tables stay at or below 1 at their last even length, so they
+    # witness no D = 2 cutoff; the table prints without one
+    code, out = invoke(capsys, "--format", fmt, "bounds", "--nmax", str(nmax), "--rmax", str(rmax))
+    assert code == 0
+    if fmt == "json":
+        data = json.loads(out)
+        assert len(data["G"]) == nmax - 1 and "max_length_D2" not in data and "max_length_D2_g1" not in data
+    else:
+        assert len(out.splitlines()) == nmax and out.splitlines()[-1].startswith(f"{nmax} ")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -282,22 +282,24 @@ def test_shape_rules_match_reference():
 
 
 def test_odd_sum_zero_norm_at_least_quarter():
+    # the sweeps' one float bound, 1/4 for norm-1/4 searches, rests on this
     rng = random.Random(1)
-    checked = 0
-    while checked < 50:
-        body = [rng.choice([-1, 1]) * rng.randint(1, 60) for _ in range(4)]
-        last = -sum(body)
-        if last == 0:
-            continue
-        a = make_list(body + [last])
-        if a.length % 2 == 0 or a.length == 0 or a.total != 0:
-            continue
-        assert norm(a) >= F(1, 4)
-        # off the breakpoints the values sit in Z + 1/2
-        x = F(rng.randint(1, 96), 97)
-        v = evaluate(a, x)
-        assert (v - F(1, 2)).denominator == 1
-        checked += 1
+    for length in (3, 5, 7, 9):
+        checked = 0
+        while checked < 50:
+            body = [rng.choice([-1, 1]) * rng.randint(1, 60) for _ in range(length - 1)]
+            last = -sum(body)
+            if last == 0:
+                continue
+            a = make_list(body + [last])
+            if a.length != length or a.total != 0:
+                continue
+            assert norm(a) >= F(1, 4)
+            # off the breakpoints the values sit in Z + 1/2
+            x = F(rng.randint(1, 96), 97)
+            v = evaluate(a, x)
+            assert (v - F(1, 2)).denominator == 1
+            checked += 1
 
 
 def test_pair_norm_closed_form():

@@ -12,7 +12,6 @@ from ratio_lab.integrality import family_membership
 from ratio_lab.lists import classify_type, involute, make_list, norm
 from ratio_lab.search import (
     GOLDEN_NAMES,
-    QUARTER_TEST,
     Catalog,
     canonical_pair_key,
     d2_family_probe,
@@ -140,23 +139,23 @@ S12 = search._signed_divisors(12)
 
 
 @pytest.mark.parametrize(
-    "values, count, test, solved, keep",
+    "values, count, bound, solved, keep",
     [
         (S12, 3, None, False, lambda a: True),
         # 1/6 is attained: the strict cut keeps 3 pairs, the non-strict 12
-        (S12, 4, ("le", 1 / 6), False, lambda a: norm(a) < F(1, 6)),
-        (S12, 4, ("le", 1 / 6), False, lambda a: norm(a) <= F(1, 6)),
+        (S12, 4, 1 / 6, False, lambda a: norm(a) < F(1, 6)),
+        (S12, 4, 1 / 6, False, lambda a: norm(a) <= F(1, 6)),
         (S12, 4, None, True, lambda a: True),
-        (S12, 4, QUARTER_TEST, True, lambda a: norm(a) == F(1, 4)),
-        (search._box(5), 4, ("le", 0.2), False, lambda a: norm(a) < F(1, 5)),
+        (S12, 4, 0.25, True, lambda a: norm(a) == F(1, 4)),
+        (search._box(5), 4, 0.2, False, lambda a: norm(a) < F(1, 5)),
         (tuple(v for v in search._signed_divisors(24) if abs(v) <= 6), 4, None, False, lambda a: classify_type(a) == "B"),
     ],
     ids=["plain", "strict", "non-strict", "sum-zero", "norm-equals", "box", "type-filter"],
 )
-def test_enumerate_matches_naive_reference_tiny(values, count, test, solved, keep):
+def test_enumerate_matches_naive_reference_tiny(values, count, bound, solved, keep):
     # one group of `count` parameters; a solved element joins it, so the
     # candidates are the (sum-zero) multisets of the support in support order
-    sweep = search._Sweep((search._Group(values, count),), test, values if solved else False)
+    sweep = search._Sweep((search._Group(values, count),), bound, values if solved else False)
     combos = combinations_with_replacement(values, count + solved)
     candidates = [c for c in combos if not solved or sum(c) == 0]
     ref = _first_per_key(candidates, keep)
@@ -204,10 +203,12 @@ def test_canonical_pair_key_is_the_smaller_of_the_pair():
 
 def test_sum_zero_prefilter_keeps_quarter_keys():
     # the kept member of each pair is the one that starts negative, so the
-    # float test must pass a row exactly when it passes its negation
+    # float bound must keep a row exactly when it keeps its negation
     quarter = keys(a for a in sum_zero_divisor_lists(1728, 7) if norm(a) == F(1, 4))
     assert quarter
-    assert keys(a for a in sum_zero_divisor_lists(1728, 7, QUARTER_TEST) if norm(a) == F(1, 4)) == quarter
+    assert keys(a for a in sum_zero_divisor_lists(1728, 7, 0.25) if norm(a) == F(1, 4)) == quarter
+    # the bound 0.0 prunes too: no list has norm 0
+    assert sum_zero_divisor_lists(1728, 4) and sum_zero_divisor_lists(1728, 4, 0.0) == []
 
 
 def test_sum_zero_join_two_groups():
@@ -260,12 +261,12 @@ def test_float_prefilter_bound_is_checked(monkeypatch):
 
 
 def test_sweep_int64_limits():
-    # past 2^53 a float test is unsound, but a sweep without one is exact
+    # past 2^53 a float bound is unsound, but a sweep without one is exact
     support = tuple(v for d in (1, 2**54, 2**54 + 1) for v in (-d, d))
     sweep = search._Sweep((search._Group(support, 2),), None, support)
     assert keys(search._confirm(sweep, lambda a: True)) == {(-1, -(2**54), 2**54 + 1)}
     with pytest.raises(ArithmeticError):
-        search._rows(search._Sweep(sweep.groups, ("le", 1.0), support))
+        search._rows(search._Sweep(sweep.groups, 1.0, support))
     # the join key, a row sum times the support size, must fit in int64
     huge = tuple(v for d in (1, 2**61) for v in (-d, d))
     with pytest.raises(ValueError, match="join key"):
@@ -292,7 +293,7 @@ def test_head_deal_jobs_invariant(monkeypatch):
     # two jobs deal the heads [part::2]: one head (lead 0, all of it in part
     # 0), then 78 heads of two parameters (lead 2) under a lowered TAIL_ROWS
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    sweep = search._Sweep((search._Group(search._signed_divisors(12), 4),), ("le", 0.3))
+    sweep = search._Sweep((search._Group(search._signed_divisors(12), 4),), 0.3)
 
     def rows(jobs):  # sorted, so a head dealt twice shows
         return sorted(map(tuple, search._rows(sweep, jobs).tolist()))
@@ -336,26 +337,26 @@ def _live_candidates(sweep):
         if (joined and sum(row)) or 0 in row:
             continue
         a = make_list(row)
-        if a.length == len(row) and a.is_primitive() and (sweep.test is None or norm(a) <= F(sweep.test[1])):
+        if a.length == len(row) and a.is_primitive() and (sweep.bound is None or norm(a) <= F(sweep.bound)):
             negated = tuple(tuple(sorted((-v for v in ps), key=_support_order)) for ps in params)
             out[row] = min(row, layout(negated))
     return out
 
 
 @pytest.mark.parametrize(
-    "groups, test, solved, tail_rows",
+    "groups, bound, solved, tail_rows",
     [
-        ((search._Group(S12, 4),), ("le", 0.3), False, search.TAIL_ROWS),
-        ((search._Group(S12, 4),), ("le", 0.3), False, 100),  # as in test_head_deal_jobs_invariant
+        ((search._Group(S12, 4),), 0.3, False, search.TAIL_ROWS),
+        ((search._Group(S12, 4),), 0.3, False, 100),  # as in test_head_deal_jobs_invariant
         ((search._Group(search._box(6), 1, (1, -2)), search._Group(search._box(4), 1, (1, -3))), None, True, search.TAIL_ROWS),
         ((search._Group(S12, 3),), None, S12, search.TAIL_ROWS),
     ],
     ids=["lead-0", "lead-2", "family-lead-0", "join-lead-1"],
 )
-def test_paired_sweep_visits_one_row_per_pair(monkeypatch, groups, test, solved, tail_rows):
+def test_paired_sweep_visits_one_row_per_pair(monkeypatch, groups, bound, solved, tail_rows):
     # on (-d, d) supports every row starts negative, one per +- class
     monkeypatch.setattr(search, "TAIL_ROWS", tail_rows)
-    sweep = search._Sweep(groups, test, solved)
+    sweep = search._Sweep(groups, bound, solved)
     ref = _live_candidates(sweep)
     classes = set(ref.values())
     assert len(ref) == 2 * len(classes)
@@ -366,17 +367,17 @@ def test_paired_sweep_visits_one_row_per_pair(monkeypatch, groups, test, solved,
 
 
 @pytest.mark.parametrize(
-    "groups, test",
+    "groups, bound",
     [
         # the length-4 lemma's [a,-3a,b,-3b] family: a is positive only
-        ((search._Group(tuple(range(1, 41)), 1, (1, -3)), search._Group(search._box(40), 1, (1, -3))), ("le", 0.2)),
+        ((search._Group(tuple(range(1, 41)), 1, (1, -3)), search._Group(search._box(40), 1, (1, -3))), 0.2),
         # pairs laid out (d, -d): the rows that start negative are not the smaller ones
-        ((search._Group(tuple(-v for v in S12), 4),), ("le", 0.3)),
+        ((search._Group(tuple(-v for v in S12), 4),), 0.3),
     ],
     ids=["positive-only", "positive-first"],
 )
-def test_unpaired_sweep_visits_every_row(groups, test):
-    sweep = search._Sweep(groups, test)
+def test_unpaired_sweep_visits_every_row(groups, bound):
+    sweep = search._Sweep(groups, bound)
     ref = sorted(_live_candidates(sweep))
     assert ref
     assert sorted(map(tuple, search._rows(sweep).tolist())) == ref

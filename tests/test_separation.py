@@ -10,8 +10,8 @@ import ratio_lab.arith
 import ratio_lab.separation as separation
 from ratio_lab.arith import divisors, factorize
 from ratio_lab.lists import SignedList, make_list, norm
+from ratio_lab.search import PAIRABLE_SUPPORT
 from ratio_lab.separation import (
-    PRESET_MODULI,
     SeparationWitness,
     check_decomposition,
     find_separations,
@@ -107,11 +107,9 @@ def test_support_bound_values():
 
 
 def test_preset_moduli_are_divisor_closed_under_general_bound():
-    # shape-restricted presets must divide the general-position modulus
-    assert PRESET_MODULI["length7_at_most_7_separated"] == support_bound(7, 7).modulus
-    general = support_bound(7, 7).modulus
-    for name in ("type_a_length7", "type_a_sum0_length7"):
-        assert general % PRESET_MODULI[name] == 0
+    # the quoted support of pairable sum-zero lists must divide the
+    # general-position modulus of at-most-7-separated length-7 lists
+    assert support_bound(7, 7).modulus % PAIRABLE_SUPPORT == 0
 
 
 def _random_primitive_list(rng, length, bound=60):

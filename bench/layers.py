@@ -5,7 +5,7 @@ inputs.
 
     python3 bench/layers.py [--against DIR]
 
-Runs each call of _calls() three times, each run in a fresh interpreter
+Runs each call of _calls() five times, each run in a fresh interpreter
 that imports ratio_lab from a checkout's src/, builds the call's inputs
 and then times the call alone.  It writes the median, the runs and the
 largest peak RSS of those interpreters, with the machine (cores, Python,
@@ -36,7 +36,7 @@ from statistics import median
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RUNS = 3
+RUNS = 5  # three runs could not tell unchanged calls apart
 
 
 def _calls() -> tuple[dict, dict]:

@@ -17,8 +17,13 @@ zero sum, a float norm bound (1/4 for every classification sweep) and an
 exact `keep` predicate.  The engine is one sorted join: each head takes
 one searchsorted range of the sorted tail rows, so only rows that can
 hit are visited, each multiset once, and their float norms come from
-cross-term tables.  `_live_rows` drops degenerate and non-primitive
-rows, `_confirm` decides the rest exactly, and a sweep returns one list
+cross-term tables.  A row whose elements one of the primes 2, 3, 5, 7
+all divide is not primitive, a scaled copy of a list of the same norm,
+so it is never a result, and the engine skips it before its float
+norm: each value carries a mask of the primes dividing every element it
+gives, and a row is skipped when the AND of its masks is not 0 (`_scan`).
+`_live_rows` drops the remaining degenerate and non-primitive rows,
+`_confirm` decides the rest exactly, and a sweep returns one list
 per +- pair (`_dedup`, up to permutation and global sign flip).  One
 rule names a pair: of a list and its negation, the one whose canonical
 tuple starts negative (`canonical_pair_key`).  Where every support is
@@ -37,6 +42,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb, gcd, prod
 from multiprocessing import Pool
@@ -223,21 +229,62 @@ def _index_rows(groups, params) -> tuple[list[np.ndarray], int]:
     return cols, rows
 
 
+def _joined(h, lo, stop):
+    """The hits of the tail ranges lo[r]:stop[r], of heads h[r], as (head,
+    tail) row indices, CHUNK at a time."""
+    ends = np.cumsum(stop - lo)
+    for c0 in range(0, int(ends[-1]), CHUNK):
+        k = np.arange(c0, min(c0 + CHUNK, int(ends[-1])))
+        r = np.searchsorted(ends, k, side="right")
+        yield h[r], stop[r] - ends[r] + k
+
+
+def _live(parts) -> np.ndarray:
+    """The rows of the arrays `parts` that _live_rows keeps."""
+    rows = np.concatenate(parts)
+    return rows[_live_rows(rows)]
+
+
+def _class_primes(elements) -> list[int]:
+    """The primes of 2, 3, 5 and 7 that divide some element: _scan sorts
+    rows into 2^len classes by which of them divide all their elements."""
+    return [p for p in (2, 3, 5, 7) if any(e % p == 0 for e in elements)]
+
+
 @np.errstate(divide="ignore", invalid="ignore")
 def _scan(args) -> np.ndarray:
     """Float-prefilter one share of a sweep: its surviving live rows.
 
-    The tail's index rows are built once and, if the row sums to zero,
-    sorted once by the key sum*n + first index (n values in its first
-    group); else they stay sorted by first index.  A Python loop runs
-    over the leading head parameters, the rows of _index_rows in lexical
-    order, every `parts`-th from `part` on, the others forming numpy
-    blocks, and each head takes one searchsorted range of tail rows: sum
-    -(head sum) if the row sums to zero, first index from the head's last
-    on if both are of one group.  So each multiset is reached once.  Other
-    sweeps than sum-zero ones hit every tail row: there the loop takes one
-    head at a time, whose hits are a slice of the tail, as gathering them
-    in blocks made most of them 1.2-3.5 times slower (BENCH_layers.json).
+    The tail's index rows are built once, in first index order, and
+    sorted once: by the key sum*n + first index (n values in the tail's
+    first group) if the row sums to zero, else stably by class (below).
+    A Python loop runs over the leading head parameters, the rows of
+    _index_rows in lexical order, every `parts`-th from `part` on, the
+    others forming numpy blocks.  In a sum-zero join each head takes one
+    searchsorted range of tail rows, sum -(head sum), first index from the
+    head's last on if both are of one group, so each multiset is reached
+    once; a block's heads look their ranges up in key order, so that each
+    binary search starts where the last one ended.  Other sweeps take one
+    head at a time, and its hits are a slice of the tail per class it is
+    compatible with, from its last index on if both are of one group,
+    read from a table of each class's first row at or after each first
+    index (gathering them in blocks made most of them 1.2-3.5 times
+    slower, BENCH_layers.json).
+
+    Only primitive rows can be live, so rows whose elements one prime
+    divides are dropped before any float norm.  For the primes p_b of
+    _class_primes, bit b of a value v's mask is set when p_b divides
+    gcd(mults) * v, that is every element v gives, and a row's class is
+    the AND of its parameters' masks: a nonzero class names a prime that
+    divides the whole row, which _live_rows would drop.  A head and a tail
+    row are joined only when the AND of their classes is 0: the one-head
+    path never visits the other tail slices, with no head parameter it
+    keeps only the tail rows of class 0, and the join drops the other
+    hits of its ranges (a class in the join key, one range per class,
+    made the divisor joins up to 1.4 times slower).  A free solved element
+    (True) needs no mask: it is minus the sum of the others, so a prime
+    dividing them all divides it.  Larger primes are ignored, so
+    _live_rows stays the exact gate.
 
     A sweep is +- paired when every group's values, the solved group's
     included, are (-d, d) pairs and group 0's first multiple is positive,
@@ -248,7 +295,8 @@ def _scan(args) -> np.ndarray:
     and is not live), and only those rows are visited.  One mask, before
     any sums, keeps them: on the heads, before the deal to the shares, or
     with no head parameter (lead 0) on the tail rows.  Each kept row
-    starts negative, so it is the smaller of its pair."""
+    starts negative, so it is the smaller of its pair.  Negation keeps a
+    row's class, so the two rules compose."""
     sweep, part, parts = args
     groups, solved, bound = sweep.groups, sweep.solved, sweep.bound
     owner = [gi for gi, g in enumerate(groups) for _ in range(g.count)]  # group of each parameter
@@ -266,16 +314,38 @@ def _scan(args) -> np.ndarray:
     block, tail = owner[lead:cut], owner[cut:]
     vals = [np.array(g.values) for g in groups]
     tables = {pair: _cross(groups[pair[0]], groups[pair[1]]) for pair in set(combinations(owner, 2))}
+    elements = [m * v for g in groups for m in g.mults for v in g.values]
+    primes = np.array(_class_primes(elements), dtype=np.int64)
+    full = (1 << len(primes)) - 1  # the mask of every prime, and the class of no parameter
+    bits = 1 << np.arange(len(primes))
+    masks = [(((gcd(*g.mults) * v)[:, None] % primes == 0) @ bits).astype(np.uint8) for g, v in zip(groups, vals)]
+    compatible = cache(lambda m: [c for c in range(full + 1) if not c & m])  # the classes a head mask joins
 
     def sums(params, cols):
-        """Element sums for a join and, for a float bound, inner cross terms of rows (one row for none)."""
-        rows = len(cols[0]) if cols else 1
-        total, inner = np.zeros(rows, dtype=np.int64), np.zeros(rows)
+        """Element sums of rows, for a join (one row for none)."""
+        total = np.zeros(len(cols[0]) if cols else 1, dtype=np.int64)
         for gi, i in zip(params, cols) if sum_zero else ():
             total += sum(groups[gi].mults) * vals[gi][i]
+        return total
+
+    def inner(params, cols):
+        """Inner cross terms of rows, for a float bound (one row for none)."""
+        out = np.zeros(len(cols[0]) if cols else 1)
         for q, r in combinations(range(len(params)) if bound is not None else (), 2):
-            inner += tables[params[q], params[r]][cols[q], cols[r]]
-        return total, inner
+            out += tables[params[q], params[r]][cols[q], cols[r]]
+        return out
+
+    def columns(idx):
+        """The element columns of rows of the given parameter indices, then minus their sum if solved is True."""
+        cols = [v if m == 1 else m * v for gi, i in zip(owner, idx) for v in [vals[gi][i]] for m in groups[gi].mults]
+        return cols + [-sum(cols)] if solved is True else cols
+
+    def classes(params, cols):
+        """The class of rows: the AND of their parameters' masks (one row for none)."""
+        out = np.full(len(cols[0]) if cols else 1, full, dtype=np.uint8)
+        for gi, i in zip(params, cols):
+            out &= masks[gi][i]
+        return out
 
     block_idx, rows = _index_rows(groups, block)
     after = 0 < lead < cut and owner[lead - 1] == owner[lead]  # block indices from the prefix's last on
@@ -285,11 +355,11 @@ def _scan(args) -> np.ndarray:
     const += sum(gcd(m, mm) ** 2 / (m * mm) for gi in owner for m, mm in combinations(groups[gi].mults, 2))
     # a free solved element e takes gcd(x, e) with each other element x, from
     # tables (_gcd_tables) if every x divides the largest, top, and rows >= top
-    elements = [m * v for g in groups for m in g.mults for v in g.values]
     top = max(map(abs, elements))
     gcds = solved is True and _n_combos(groups, owner) >= top and all(top % x == 0 for x in elements)
     slot, tabs = _gcd_tables(groups, top) if gcds else (None, None)
-    out = [np.empty((0, sweep.length), dtype=np.int64)]
+    empty = np.empty((0, sweep.length), dtype=np.int64)
+    out, pending, held = [], [empty], 0  # live rows, and float hits not yet through _live_rows
     head_idx, _ = _index_rows(groups, owner[:lead])
     tail_idx, _ = _index_rows(groups, tail)
     # a +- paired layout (see above): only even first indices of parameter 0 are visited
@@ -297,51 +367,59 @@ def _scan(args) -> np.ndarray:
         first = head_idx if lead else tail_idx
         even = first[0] % 2 == 0
         first[:] = [i[even] for i in first]
-    key, tail_inner = sums(tail, tail_idx)
-    if sum_zero:  # the join key, and the tail rows in its order, in place
+    tail_cls = classes(tail, tail_idx)
+    if not lead:  # no head: only class 0 is primitive
+        tail_idx, tail_cls = [i[tail_cls == 0] for i in tail_idx], tail_cls[tail_cls == 0]
+    # the tail rows sorted once, in place, by the join key, else by class (they are
+    # in first index order already); columns stay in their _combos type
+    if sum_zero:
+        key = sums(tail, tail_idx)
         key *= n
         key += tail_idx[0] if shared else 0
         order = np.argsort(key, kind="stable")
-        for i in (*tail_idx, key, tail_inner):
-            i[:] = i[order]
-        del order
-    else:  # read in every chunk: in numpy's index type
-        tail_idx = [i.astype(np.intp) for i in tail_idx]
-    for hi in (np.transpose(head_idx).tolist() if lead else [[]])[part::parts]:
+        key[:] = key[order]
+    else:
+        order = np.argsort(tail_cls, kind="stable")
+    for i in (*tail_idx, tail_cls):
+        i[:] = i[order]
+    del order
+    tail_inner = inner(tail, tail_idx)
+    if not sum_zero:  # class c is rows edges[c]:edges[c + 1], of first index >= j from starts[c][j] on
+        edges = np.searchsorted(tail_cls, np.arange(full + 2)).tolist()
+        starts = [(a + np.searchsorted(tail_idx[0][a:b], np.arange(n))).tolist() if shared else [a] for a, b in zip(edges, edges[1:])]
+    heads = np.transpose(head_idx).tolist() if lead else [[]]
+    for hi, hm in list(zip(heads, classes(owner[:lead], head_idx).tolist()))[part::parts]:
         psum = sum(sum(groups[gi].mults) * groups[gi].values[i] for gi, i in zip(owner, hi))
         # the rows of the cross-term and gcd tables that the leading parameters pick
-        against = [(tables[owner[q], gq][hi[q]], r) for q in range(lead) for r, gq in enumerate(tail)]
+        against = [sum(tables[owner[q], gq][hi[q]] for q in range(lead)) for gq in tail] if lead else []
         erows = [tabs[gi, m][i] for gi, i in zip(owner, hi) for m in groups[gi].mults] if gcds else []
         for s in range(int(np.searchsorted(block_idx[0], hi[-1])) if after else 0, rows, CHUNK):
             head = hi + [i[s : s + CHUNK] for i in block_idx]
-            hsum, base = sums(block, head[lead:])
+            hsum, base = sums(block, head[lead:]), inner(block, head[lead:])
             base += const + sum(tables[owner[q], owner[r]][head[q]][head[r]] for q, r in combinations(range(cut), 2) if q < lead)
-            if sum_zero:  # for each head, the tail rows of sum -(head sum)
+            if sum_zero:  # for each head, in key order, the tail rows of sum -(head sum)
                 at = (hsum + psum) * -n
-                lo = np.searchsorted(key, at + (head[-1] if shared else 0))
-                stop = np.searchsorted(key, at + n)
-                ends = np.cumsum(stop - lo)
-            else:  # one head, and the tail rows from its last index on
-                lo = int(np.searchsorted(tail_idx[0], head[-1])) if shared else 0
-                ends = [len(tail_inner) - lo]
-            for c0 in range(0, int(ends[-1]), CHUNK):
-                c1 = min(c0 + CHUNK, int(ends[-1]))
-                if not sum_zero:  # one head: its hits are a slice of the tail
-                    h, t = (), slice(lo + c0, lo + c1)
-                else:
-                    k = np.arange(c0, c1)
-                    h = np.searchsorted(ends, k, side="right")
-                    t = stop[h] - ends[h] + k
+                h = np.argsort(at, kind="stable")
+                lo = np.searchsorted(key, (at + (head[-1] if shared else 0))[h])
+                hits = _joined(h, lo, np.searchsorted(key, at[h] + n))
+                hmask = hm & classes(block, head[lead:])
+            else:  # one head, and a slice of each compatible class from its last index on
+                j = hi[-1] if shared else 0
+                spans = [(starts[c][j], edges[c + 1]) for c in compatible(hm)]
+                hits = (((), slice(c0, min(c0 + CHUNK, c1))) for a, c1 in spans for c0 in range(a, c1, CHUNK))
+            for h, t in hits:
+                if sum_zero:  # only the hits of class 0
+                    keep = (hmask[h] & tail_cls[t]) == 0
+                    h, t = h[keep], t[keep]
                 hc = hi + [i[h].astype(np.intp) for i in head[lead:]]
-                ci = [i[t].astype(np.intp, copy=False) for i in tail_idx]
-                cols = [v if m == 1 else m * v for gi, i in zip(owner, hc + ci) for v in [vals[gi][i]] for m in groups[gi].mults]
-                if solved is True:
-                    cols.append(-sum(cols))
+                ci = [i[t].astype(np.intp) for i in tail_idx]
+                width = len(ci[0]) if ci else 1
+                cols = columns(hc + ci) if solved is True else None  # e enters the float norm
                 hit = slice(None)
                 if bound is not None:
                     total = base[h] + tail_inner[t]
-                    for row, r in against:
-                        total += row[ci[r]]
+                    for row, i in zip(against, ci):
+                        total += row[i]
                     for q, r in product(range(lead, cut), range(len(tail))):
                         total += tables[owner[q], tail[r]][hc[q], ci[r]]
                     if solved is True:  # the terms of e
@@ -356,9 +434,15 @@ def _scan(args) -> np.ndarray:
                     hit = total / 6 <= bound + FLOAT_TOL
                     if not hit.any():
                         continue
-                found = np.column_stack([np.broadcast_to(x, (c1 - c0,))[hit] for x in cols])
-                out.append(found[_live_rows(found)])
-    return np.concatenate(out)
+                found = np.empty((width, sweep.length), dtype=np.int64)
+                for q, x in enumerate(cols or columns(hc + ci)):
+                    found[:, q] = x
+                pending.append(found[hit])
+                held += len(pending[-1])
+                if held >= CHUNK:  # one _live_rows call per about CHUNK float hits
+                    out.append(_live(pending))
+                    pending, held = [empty], 0
+    return np.concatenate(out + [_live(pending)])
 
 
 def _rows(sweep: _Sweep, jobs: int = 1) -> np.ndarray:

@@ -5,6 +5,7 @@ import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
+import numpy as np
 import pytest
 
 import ratio_lab.search as search
@@ -235,7 +236,8 @@ def _support_order(v):
     return (abs(v), v > 0)
 
 
-@pytest.mark.parametrize("modulus, count", [(60, 48), (72, 36)])
+# 2*3*11*13: the prime classes see only 2 and 3, and _live_rows drops the rest
+@pytest.mark.parametrize("modulus, count", [(60, 48), (72, 36), (2 * 3 * 11 * 13, 28)])
 def test_divisor_sweep_5_representatives(modulus, count):
     # candidates: four divisors in support order, then the solved fifth
     combos = combinations_with_replacement(_signed_divisors(modulus), 4)
@@ -381,6 +383,59 @@ def test_unpaired_sweep_visits_every_row(groups, bound):
     ref = sorted(_live_candidates(sweep))
     assert ref
     assert sorted(map(tuple, search._rows(sweep).tolist())) == ref
+
+
+S858 = search._signed_divisors(2 * 3 * 11 * 13)
+
+
+@pytest.mark.parametrize(
+    "groups, solved, tail_rows",
+    [
+        ((search._Group(S858, 3),), S858, search.TAIL_ROWS),
+        ((search._Group(S858, 4),), True, search.TAIL_ROWS),
+        ((search._Group(search._box(12), 3),), False, search.TAIL_ROWS),
+        ((search._Group(search._box(12), 3),), False, 300),
+        ((search._Group(search._box(12), 3),), False, 100),
+        ((search._Group(search._box(9), 1, (1, -2)), search._Group(search._box(10), 1, (1, -3))), True, search.TAIL_ROWS),
+    ],
+    ids=["join-858", "free-858-lead-1", "box-lead-0", "box-lead-1", "box-lead-2", "family-lead-0"],
+)
+def test_prime_classes_drop_only_dead_rows(monkeypatch, groups, solved, tail_rows):
+    # without a float bound _rows is every live row that starts negative (one
+    # per +- pair), by brute force: the classes skip only rows that _live_rows
+    # drops, also where the support has primes above 7
+    monkeypatch.setattr(search, "TAIL_ROWS", tail_rows)
+    sweep = search._Sweep(groups, None, solved)
+    ref = sorted(r for r in _live_candidates(sweep) if r[0] < 0)
+    assert ref
+    assert sorted(map(tuple, search._rows(sweep).tolist())) == ref
+
+
+def test_live_rows_sees_no_row_a_small_prime_divides(monkeypatch):
+    # every row reaching _live_rows has, for each of 2, 3, 5 and 7, an element
+    # it does not divide: lead 1 (divisor_sweep_5), lead 0 (the length-3 and
+    # length-4 lemma sweeps), and both shares of 2 of a join and of a lead-2
+    # one-head sweep
+    seen = []
+
+    def spy(rows):
+        seen.append(rows)
+        return live_rows(rows)
+
+    live_rows = search._live_rows
+    monkeypatch.setattr(search, "_live_rows", spy)
+    assert divisor_sweep_5(360)
+    small_norm_catalog(3, F(1, 7))
+    small_norm_catalog(4, F(11, 60))
+    monkeypatch.setattr(search, "TAIL_ROWS", 100)
+    box = search._Sweep((search._Group(search._box(12), 3),), 0.3)
+    join = search._Sweep((search._Group(search._signed_divisors(720), 6),), None, search._signed_divisors(720))
+    for part in (0, 1):
+        assert len(search._scan((join, part, 2))) and len(search._scan((box, part, 2)))
+    g = np.concatenate([np.gcd.reduce(rows, axis=1) for rows in seen])
+    assert len(g) > 10000
+    for p in (2, 3, 5, 7):
+        assert not (g % p == 0).any(), p
 
 
 class _Started(Exception):

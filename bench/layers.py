@@ -7,11 +7,13 @@ inputs.
 
 Runs each call of _calls() five times, each run in a fresh interpreter
 that imports ratio_lab from a checkout's src/, builds the call's inputs
-and then times the call alone.  It writes the median, the runs and the
-largest peak RSS of those interpreters, with the machine (cores, Python,
-numpy), into BENCH_layers.json at the repository root.  With --against
-DIR, another git checkout, it times DIR's src/ as well, alternating the
-two checkouts run by run and swapping which goes first, so that the
+and then times the call alone.  It prints each call's median and fastest
+run, and writes the median, the fastest run (medians of five runs still
+moved 8-24 % on unchanged code), the runs and the largest peak RSS of
+those interpreters, with the machine (cores, Python, numpy), into
+BENCH_layers.json at the repository root.  With --against DIR, another
+git checkout, it times DIR's src/ as well, alternating the two
+checkouts run by run and swapping which goes first, so that the
 machine's drift falls on both columns alike, and writes both columns.
 A column is named after its checkout: its short commit, with
 "+worktree" when src/ differs from that commit.  Columns already in the
@@ -174,7 +176,8 @@ def main() -> None:
         for r in range(RUNS):
             for root in roots[:: -1 if r % 2 else 1]:
                 runs[root][name].append(_run(root, name))
-        print(name + ": " + ", ".join(f"{median(x['s'] for x in runs[root][name]):.3f} s" for root in roots), flush=True)
+        times = [[x["s"] for x in runs[root][name]] for root in roots]
+        print(name + ": " + ", ".join(f"{median(t):.3f} s (min {min(t):.3f})" for t in times), flush=True)
     path = os.path.join(ROOT, "BENCH_layers.json")
     data = {"columns": {}}
     if os.path.exists(path):
@@ -186,6 +189,7 @@ def main() -> None:
         seconds = {
             name: {
                 "median_s": median(x["s"] for x in rs),
+                "min_s": min(x["s"] for x in rs),
                 "runs_s": [x["s"] for x in rs],
                 "peak_rss_mb": max(x["peak_rss_mb"] for x in rs),
             }

@@ -278,13 +278,13 @@ def _scan(args) -> np.ndarray:
     the AND of its parameters' masks: a nonzero class names a prime that
     divides the whole row, which _live_rows would drop.  A head and a tail
     row are joined only when the AND of their classes is 0: the one-head
-    path never visits the other tail slices, with no head parameter it
-    keeps only the tail rows of class 0, and the join drops the other
-    hits of its ranges (a class in the join key, one range per class,
-    made the divisor joins up to 1.4 times slower).  A free solved element
-    (True) needs no mask: it is minus the sum of the others, so a prime
-    dividing them all divides it.  Larger primes are ignored, so
-    _live_rows stays the exact gate.
+    path never visits the other tail slices (with no head parameter the
+    head's class, the AND of no masks, has every bit set, so only class 0
+    is compatible), and the join drops the other hits of its ranges (a
+    class in the join key, one range per class, made the divisor joins up
+    to 1.4 times slower).  A free solved element (True) needs no mask: it
+    is minus the sum of the others, so a prime dividing them all divides
+    it.  Larger primes are ignored, so _live_rows stays the exact gate.
 
     A sweep is +- paired when every group's values, the solved group's
     included, are (-d, d) pairs and group 0's first multiple is positive,
@@ -368,8 +368,6 @@ def _scan(args) -> np.ndarray:
         even = first[0] % 2 == 0
         first[:] = [i[even] for i in first]
     tail_cls = classes(tail, tail_idx)
-    if not lead:  # no head: only class 0 is primitive
-        tail_idx, tail_cls = [i[tail_cls == 0] for i in tail_idx], tail_cls[tail_cls == 0]
     # the tail rows sorted once, in place, by the join key, else by class (they are
     # in first index order already); columns stay in their _combos type
     if sum_zero:
@@ -475,8 +473,9 @@ def _rows(sweep: _Sweep, jobs: int = 1) -> np.ndarray:
 
 
 def _confirm(sweep: _Sweep, keep, jobs: int = 1) -> list[SignedList]:
-    """The exact step: build each distinct row of the sweep (_rows) once,
-    in sorted order, take the first of each +- pair (_dedup), and keep the
+    """The exact step: build each row of the sweep (_rows) in sorted order
+    (they are distinct: _scan reaches each index multiset once, in disjoint
+    `jobs` shares), take the first of each +- pair (_dedup), and keep the
     lists passing `keep`.  `keep` runs once per pair, so it must give a
     list and its negation the same answer, as every `keep` here does: the
     norm tests and cutoffs, classify_type and family_membership.  A +-
@@ -484,7 +483,7 @@ def _confirm(sweep: _Sweep, keep, jobs: int = 1) -> list[SignedList]:
     negation of a row that starts positive is a row that starts negative,
     so the smallest row of each pair key is visited and _dedup keeps the
     list it kept when every row was visited."""
-    rows = sorted(set(map(tuple, _rows(sweep, jobs).tolist())))
+    rows = sorted(map(tuple, _rows(sweep, jobs).tolist()))
     return [a for a in _dedup(map(make_list, rows)) if keep(a)]
 
 
@@ -521,12 +520,10 @@ def divisor_sweep_5(modulus: int = 2**6 * 3**3 * 5**3, jobs: int = 1) -> list[Si
 # generic sum-zero sweep over a divisor support (lengths 2..7)
 
 
-def sum_zero_divisor_lists(modulus: int, length: int, bound: float | None = None, jobs: int = 1) -> list[SignedList]:
+def sum_zero_divisor_lists(modulus: int, length: int) -> list[SignedList]:
     """Every primitive non-degenerate sum-zero list of the given length
     with all elements dividing the modulus, deduplicated up to
-    permutation and global sign flip, in canonical_pair_key order.  A
-    float norm `bound` (as in _Sweep) only prunes: a list it keeps may
-    lie up to FLOAT_TOL above it, so the caller confirms exactly.  The
+    permutation and global sign flip, in canonical_pair_key order.  The
     join gives each multiset once, in support order, which is canonical
     order, and the support is +- paired, so it visits only the member of
     each multiset and its negation that starts negative (_scan): its own
@@ -534,7 +531,7 @@ def sum_zero_divisor_lists(modulus: int, length: int, bound: float | None = None
     if length < 2 or length > 7:
         raise ValueError("supported lengths: 2..7")
     vals = _signed_divisors(modulus)
-    rows = _rows(_Sweep((_Group(vals, length - 1),), bound, vals), jobs)
+    rows = _rows(_Sweep((_Group(vals, length - 1),), None, vals))
     rows = rows[np.lexsort(rows.T[::-1])]
     return [SignedList(tuple(t)) for c in range(0, len(rows), CHUNK) for t in rows[c : c + CHUNK].tolist()]
 
@@ -562,7 +559,8 @@ def _type_b_sweep_7(jobs: int = 1) -> list[SignedList]:
     """Sum-zero sweep over divisors of 2^10*3^5 (the at-most-4-separated
     support for non-pairable lists, quoted from the source analysis, not
     derived), keeping norm-1/4 results."""
-    return list(filter(_is_quarter, sum_zero_divisor_lists(2**10 * 3**5, 7, 0.25, jobs)))
+    vals = _signed_divisors(2**10 * 3**5)
+    return _confirm(_Sweep((_Group(vals, 6),), 0.25, vals), _is_quarter, jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import factorial, gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from ratio_lab.integrality import (
     valuation_oracle,
 )
 from ratio_lab.lists import involute, make_list, norm
+from ratio_lab.search import canonical_pair_key, load_golden
 
 F = Fraction
 
@@ -302,3 +304,45 @@ def test_family_membership_matches_reference():
             assert to_list(RatioSpec.from_list(a)) in (a, a.negate())  # nothing cancels
             tags[tag] += 1
     assert min(tags[t] for t in ("family1", "family2", "family3", "sporadic")) > 0, tags
+
+
+# the breakpoints m/v, 0 < m < v <= 30, of every spec with entries in 1..30,
+# in lowest terms: the 277 Farey points of order 30 inside (0, 1)
+FAREY_30 = np.array([(m, d) for d in range(2, 31) for m in range(1, d) if gcd(m, d) == 1]).T
+
+
+def _step_rows(k):
+    """The k-multisets of 1..30 as non-decreasing rows, and for each the sum
+    of floor(v * m / d) over its entries v at every point m/d of FAREY_30,
+    in int16, added one entry column at a time."""
+    rows = np.fromiter(chain.from_iterable(combinations_with_replacement(range(1, 31), k)), dtype=np.int16).reshape(-1, k)
+    m, d = FAREY_30
+    floors = (np.arange(31)[:, None] * m // d).astype(np.int16)
+    steps = np.zeros((len(rows), len(m)), dtype=np.int16)
+    for col in rows.T:
+        steps += floors[col]
+    return rows, steps
+
+
+@pytest.mark.parametrize("length", [5, 7])
+def test_sporadics_by_landau_without_norms(length):
+    # Norm-free cross-check of the golden sporadics: every primitive D = 1
+    # spec with entries in 1..30 (the largest golden entry is 30), decided
+    # by the Landau criterion alone.  f(x) = sum floor(a x) - sum floor(b x)
+    # has period 1, is 0 at 0 and is constant from one breakpoint to the
+    # next, so f >= 0 at the points of FAREY_30 is exact integrality.
+    num, num_steps = _step_rows(length // 2)
+    den, den_steps = _step_rows(length // 2 + 1)
+    num_sum, den_sum = num.sum(axis=1, dtype=np.int64), den.sum(axis=1, dtype=np.int64)
+    sporadic = set()
+    for s in np.intersect1d(num_sum, den_sum):
+        i, j = np.flatnonzero(num_sum == s), np.flatnonzero(den_sum == s)
+        integral = (num_steps[i][:, None] >= den_steps[j][None]).all(axis=2)
+        for p, q in zip(*np.nonzero(integral)):
+            a, b = num[i[p]].tolist(), den[j[q]].tolist()
+            if set(a) & set(b) or gcd(*a, *b) > 1:  # shared entries cancel; not primitive
+                continue
+            lst = make_list(a + [-v for v in b])
+            if family_membership(lst) == "sporadic":
+                sporadic.add(canonical_pair_key(lst))
+    assert sporadic == load_golden(f"sporadic_length{length}").keys()

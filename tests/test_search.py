@@ -202,14 +202,22 @@ def test_canonical_pair_key_is_the_smaller_of_the_pair():
         assert canonical_pair_key(a) == min(a.elements, a.negate().elements), a
 
 
+def _sum_zero_sweep(modulus, length, bound):
+    """The join of sum_zero_divisor_lists(modulus, length), with the float norm bound `bound`."""
+    vals = search._signed_divisors(modulus)
+    return search._Sweep((search._Group(vals, length - 1),), bound, vals)
+
+
 def test_sum_zero_prefilter_keeps_quarter_keys():
     # the kept member of each pair is the one that starts negative, so the
     # float bound must keep a row exactly when it keeps its negation
-    quarter = keys(a for a in sum_zero_divisor_lists(1728, 7) if norm(a) == F(1, 4))
+    quarter = [a for a in sum_zero_divisor_lists(1728, 7) if norm(a) == F(1, 4)]
     assert quarter
-    assert keys(a for a in sum_zero_divisor_lists(1728, 7, 0.25) if norm(a) == F(1, 4)) == quarter
+    # the type-B sweep over 1728: each row is its own pair key, in the same order
+    bounded = search._confirm(_sum_zero_sweep(1728, 7, 0.25), lambda a: norm(a) == F(1, 4))
+    assert keys(bounded) == keys(quarter) and bounded == quarter
     # the bound 0.0 prunes too: no list has norm 0
-    assert sum_zero_divisor_lists(1728, 4) and sum_zero_divisor_lists(1728, 4, 0.0) == []
+    assert sum_zero_divisor_lists(1728, 4) and search._confirm(_sum_zero_sweep(1728, 4, 0.0), lambda a: True) == []
 
 
 def test_sum_zero_join_two_groups():
@@ -287,8 +295,9 @@ def test_divisor_sweep_jobs_invariant(monkeypatch):
 def test_sum_zero_join_jobs_invariant(monkeypatch):
     # the join shards its loop over the first head parameter
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    one = [a.elements for a in sum_zero_divisor_lists(720, 7)]
-    assert [a.elements for a in sum_zero_divisor_lists(720, 7, jobs=2)] == one and one
+    sweep = _sum_zero_sweep(720, 7, None)
+    one = sorted(map(tuple, search._rows(sweep, 1).tolist()))
+    assert sorted(map(tuple, search._rows(sweep, 2).tolist())) == one and one
 
 
 def test_head_deal_jobs_invariant(monkeypatch):
@@ -312,8 +321,7 @@ def test_paired_heads_masked_before_the_deal():
     # the join of sum_zero_divisor_lists(720, 7) has one lead parameter; the
     # odd first indices go before the heads are dealt, so both of two shares
     # work (_scan takes its share directly, so no CPU count is read)
-    vals = search._signed_divisors(720)
-    sweep = search._Sweep((search._Group(vals, 6),), None, vals)
+    sweep = _sum_zero_sweep(720, 7, None)
     shares = [search._scan((sweep, part, 2)).tolist() for part in (0, 1)]
     assert all(shares)
     assert sorted(shares[0] + shares[1]) == sorted(search._scan((sweep, 0, 1)).tolist())
@@ -429,7 +437,7 @@ def test_live_rows_sees_no_row_a_small_prime_divides(monkeypatch):
     small_norm_catalog(4, F(11, 60))
     monkeypatch.setattr(search, "TAIL_ROWS", 100)
     box = search._Sweep((search._Group(search._box(12), 3),), 0.3)
-    join = search._Sweep((search._Group(search._signed_divisors(720), 6),), None, search._signed_divisors(720))
+    join = _sum_zero_sweep(720, 7, None)
     for part in (0, 1):
         assert len(search._scan((join, part, 2))) and len(search._scan((box, part, 2)))
     g = np.concatenate([np.gcd.reduce(rows, axis=1) for rows in seen])
@@ -454,7 +462,7 @@ def test_jobs_bounded_by_cpu_count(monkeypatch):
         with pytest.raises(ValueError, match=f"jobs must be between 1 and 2 \\(the number of CPUs\\), got {jobs}$"):
             divisor_sweep_5(60, jobs=jobs)
         with pytest.raises(ValueError, match="jobs must be between"):
-            sum_zero_divisor_lists(720, 7, jobs=jobs)
+            search._type_b_sweep_7(jobs=jobs)
         for length in (7, 9):  # before the first sweep
             with pytest.raises(ValueError, match="jobs must be between"):
                 search.classify_length(length, jobs=jobs)

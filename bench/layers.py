@@ -1,7 +1,7 @@
 """Time the sum-zero enumeration, the classification and small-norm
-sweeps, the lower-bound table, max_separation, the Landau scan and the
-list shape rules (make_list, classify_type, family_membership) on fixed
-inputs.
+sweeps, the lower-bound table, max_separation, the Landau scan, the
+integration norm and the list shape rules (make_list, classify_type,
+family_membership) on fixed inputs.
 
     python3 bench/layers.py [--against DIR]
 
@@ -47,8 +47,9 @@ def _calls() -> tuple[dict, dict]:
     timed run so that only the calls that read them pay for them."""
     from ratio_lab.bounds import build_table
     from ratio_lab.integrality import RatioSpec, family_membership, landau_min_max
-    from ratio_lab.lists import classify_type, make_list
+    from ratio_lab.lists import classify_type, make_list, norm_by_integration
     from ratio_lab.search import (
+        GOLDEN_NAMES,
         _type_a3_sweep_7,
         _type_a_sweep_9,
         _type_b_sweep_7,
@@ -92,6 +93,22 @@ def _calls() -> tuple[dict, dict]:
         closed = [make_list(r + [-sum(r)]) for r in (raw() for _ in range(20000)) if sum(r)]
         return raws, [a for a in closed if a.length % 2 and a.is_primitive()]
 
+    @cache
+    def golden_lists():
+        return [e.list for name in GOLDEN_NAMES for e in load_golden(name).entries]
+
+    @cache
+    def seeded_lists():
+        # 200 non-degenerate lists from random.Random(0), of length 2..9 with
+        # entries in +-1..200, drawn as the certify benchmark draws its norm lists
+        rng = random.Random(0)
+        out = []
+        while len(out) < 200:
+            els = [rng.choice((-1, 1)) * rng.randint(1, 200) for _ in range(rng.choice(range(2, 10)))]
+            if not any(-e in els for e in els):
+                out.append(make_list(els))
+        return out
+
     def shape_rules():
         raws, sum_zero = shape_inputs()
         lists = [make_list(r) for r in raws]
@@ -123,11 +140,15 @@ def _calls() -> tuple[dict, dict]:
         "max_separation(criterion 8 triple box)": lambda: [max_separation(a) for a in triple_box()],
         "landau_min_max(52 sporadic specs)": lambda: [landau_min_max(r) for r in sporadic_specs()],
         "landau_min_max(1000 x Chebyshev)": lambda: landau_min_max(chebyshev_1000),
+        "norm_by_integration(75 golden entries)": lambda: [norm_by_integration(a) for a in golden_lists()],
+        "norm_by_integration(200 seeded lists)": lambda: [norm_by_integration(a) for a in seeded_lists()],
         "shape rules": shape_rules,
     }
     inputs = {
         "max_separation(criterion 8 triple box)": triple_box,
         "landau_min_max(52 sporadic specs)": sporadic_specs,
+        "norm_by_integration(75 golden entries)": golden_lists,
+        "norm_by_integration(200 seeded lists)": seeded_lists,
         "shape rules": shape_inputs,
     }
     return calls, inputs

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from ratio_lab.arith import primes_upto
 from ratio_lab.lists import SignedList, make_list, norm
 
@@ -90,20 +92,22 @@ def landau_min_max(r: RatioSpec) -> tuple[int, int]:
     m/v for v an entry, so its extrema over the reals are attained on
     that finite set, where f(m/v) = sum_i floor(a_i m / v) - sum_j
     floor(b_j m / v) in integers.  The ratio is integral for all n iff
-    min >= 0.  The scan sums over every entry at each of the v - 1
-    breakpoints of each distinct entry v, so more than 2*10^6
-    breakpoints times entries raises ValueError before any scan.
+    min >= 0.  Each entry e adds +-(e m) // v to one int64 vector over
+    the v - 1 breakpoints m/v of every distinct entry v, so more than
+    2*10^6 breakpoints times entries raises ValueError before any scan.
+    With at least 2 entries that cap allows at most 10^6 breakpoints, so
+    no entry exceeds 10^6 + 1 and e m < 2^40 cannot overflow; some entry
+    is at least 2 (the sides share no 1), so f has a breakpoint.
     """
-    values = set(r.numerator) | set(r.denominator)
+    values = sorted(set(r.numerator) | set(r.denominator))
     points, entries = sum(v - 1 for v in values), r.K + r.L
     if points * entries > 2 * 10**6:
         raise ValueError(f"{points} breakpoints times {entries} entries, above the cap of 2*10^6")
-    lo = hi = 0  # f(0) = 0
-    for v in values:
-        for m in range(1, v):
-            val = sum(a * m // v for a in r.numerator) - sum(b * m // v for b in r.denominator)
-            lo, hi = min(lo, val), max(hi, val)
-    return lo, hi
+    vs = np.array(values, dtype=np.int64)
+    m = np.arange(points, dtype=np.int64) - np.repeat(np.cumsum(vs - 1) - vs, vs - 1)
+    v = np.repeat(vs, vs - 1)
+    f = sum(e * m // v for e in r.numerator) - sum(e * m // v for e in r.denominator)
+    return min(0, int(f.min())), max(0, int(f.max()))  # f(0) = 0
 
 
 def is_integral(r: RatioSpec) -> bool:

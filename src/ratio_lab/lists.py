@@ -144,15 +144,19 @@ def norm_by_integration(a: SignedList) -> Fraction:
         N = (u1^2 - S1)/4 - s*(u1 - S2)/2 + s^2/3,
 
     where u1 = u(1-), S1 = sum_j x_j * d(u^2), S2 = sum_j x_j^2 * du.
-    The inner sums group by denominator |a_j|, so everything is integer
-    arithmetic until the final combination.  Independent of norm(); the
-    two must agree exactly.
+    The breakpoints m/v of the entries with v = |a_j| > 1 are laid out
+    entry by entry and sorted once by float value (the d(u^2) of equal
+    x_j telescope, so ties need no order).  Back in entry order, one
+    reduce per sum gives each entry its S1 * v and S2 * v^2 in integers,
+    and with b = lcm(v)^2, N is one quotient of integers, (3 u1^2 b -
+    3 S1 b - 6 s (u1 b - S2 b) + 4 s^2 b) / (12 b).  Independent of
+    norm(); the two must agree exactly.
 
-    The breakpoints m/|a_j| are ordered by their float values, which is
-    exact while distinct ones, at least 1/max|a_j|^2 apart, stay more
-    than 2^-52 apart, so while every |a_j| < 2^26.  The empty list and
-    over 2^21 breakpoints (sum |a_j| - 1, which keeps |a_j| < 2^26 and
-    the arrays below about 0.5 GB) raise ValueError.
+    The float order is exact while distinct breakpoints, at least
+    1/max|a_j|^2 apart, stay more than 2^-52 apart, so while every
+    |a_j| < 2^26.  The empty list and over 2^21 breakpoints (sum |a_j|
+    - 1, which keeps |a_j| < 2^26 and the arrays below about 0.5 GB)
+    raise ValueError.
     """
     if a.length == 0:
         raise ValueError("norm of the empty list")
@@ -162,38 +166,29 @@ def norm_by_integration(a: SignedList) -> Fraction:
     s = a.total
     pos = sum(1 for e in a.elements if e > 0)
     u1 = a.length + 2 * s - 2 * pos
-    chunks = [
-        (np.arange(1, abs(e), dtype=np.int64), abs(e), 2 if e > 0 else -2)
-        for e in a.elements
-        if abs(e) > 1
-    ]
-    if not chunks:
-        # all elements are +-1 with no cancelling pair: a(x) = u1/2 - s*x
-        return Fraction(u1 * u1, 4) - Fraction(s * u1, 2) + Fraction(s * s, 3)
-    m_arr = np.concatenate([m for m, _, _ in chunks])
-    v_arr = np.concatenate([np.full(len(m), v, dtype=np.int64) for m, v, _ in chunks])
-    du = np.concatenate([np.full(len(m), d, dtype=np.int64) for m, _, d in chunks])
-    order = np.argsort(m_arr / v_arr, kind="stable")
-    m_arr, v_arr, du = m_arr[order], v_arr[order], du[order]
-    u_before = (a.length - 2 * (a.length - pos)) + np.cumsum(du) - du
-    d_usq = (2 * u_before + du) * du
+    steps = np.array([e for e in a.elements if abs(e) > 1], dtype=np.int64)
+    vs = np.abs(steps)
+    runs = vs - 1
+    starts = np.cumsum(runs) - runs  # entry k's breakpoints are starts[k]:starts[k] + runs[k]
+    m = np.arange(points, dtype=np.int64) - np.repeat(starts - 1, runs)
+    du = np.repeat(2 * np.sign(steps), runs)
+    order = np.argsort(m / np.repeat(vs, runs))
+    du_sorted = du[order]
+    u_after = (2 * pos - a.length) + np.cumsum(du_sorted)
+    d_usq = np.empty_like(du)
+    d_usq[order] = (2 * u_after - du_sorted) * du_sorted
     # int64 sums of m*d_usq and m*m*du are exact while the sum of the
-    # terms' sizes stays below 2^63; past that, sum Python ints
-    top = int(m_arr.max())
-    if len(m_arr) * top * max(int(np.abs(d_usq).max()), 2 * top) >= 2**63:
-        m_arr, d_usq, du = (x.astype(object) for x in (m_arr, d_usq, du))
-    s1 = Fraction(0)
-    s2 = Fraction(0)
-    for v in sorted({v for _, v, _ in chunks}):
-        mask = v_arr == v
-        s1 += Fraction(int((m_arr[mask] * d_usq[mask]).sum()), v)
-        s2 += Fraction(int((m_arr[mask] * m_arr[mask] * du[mask]).sum()), v * v)
-    return (
-        Fraction(u1 * u1, 4)
-        - s1 / 4
-        - Fraction(s, 2) * (u1 - s2)
-        + Fraction(s * s, 3)
-    )
+    # terms' sizes stays below 2^63 (each entry's sums are sub-sums of
+    # those terms); past that, sum Python ints
+    top = max(map(abs, a.elements)) - 1
+    if points * top * max(int(np.abs(d_usq).max(initial=0)), 2 * top) >= 2**63:
+        m, d_usq, du = (x.astype(object) for x in (m, d_usq, du))
+    ws = vs.tolist()
+    big = lcm(*ws)
+    b = big * big
+    s1b = big * sum(int(x) * (big // w) for x, w in zip(np.add.reduceat(m * d_usq, starts), ws))
+    s2b = sum(int(x) * (big // w) ** 2 for x, w in zip(np.add.reduceat(m * m * du, starts), ws))
+    return Fraction(3 * u1 * u1 * b - 3 * s1b - 6 * s * (u1 * b - s2b) + 4 * s * s * b, 12 * b)
 
 
 def involute(a: SignedList) -> SignedList:

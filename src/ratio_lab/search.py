@@ -313,7 +313,8 @@ def _scan(args) -> np.ndarray:
         cut = lead = min(c for c in range(len(owner) + 1) if _n_combos(groups, owner[c:]) <= TAIL_ROWS)
     block, tail = owner[lead:cut], owner[cut:]
     vals = [np.array(g.values) for g in groups]
-    tables = {pair: _cross(groups[pair[0]], groups[pair[1]]) for pair in set(combinations(owner, 2))}
+    # the cross-term tables of a float bound; an unbounded join does no cross-term work
+    tables = {pair: _cross(groups[pair[0]], groups[pair[1]]) for pair in set(combinations(owner, 2))} if bound is not None else {}
     elements = [m * v for g in groups for m in g.mults for v in g.values]
     primes = np.array(_class_primes(elements), dtype=np.int64)
     full = (1 << len(primes)) - 1  # the mask of every prime, and the class of no parameter
@@ -389,12 +390,14 @@ def _scan(args) -> np.ndarray:
     for hi, hm in list(zip(heads, classes(owner[:lead], head_idx).tolist()))[part::parts]:
         psum = sum(sum(groups[gi].mults) * groups[gi].values[i] for gi, i in zip(owner, hi))
         # the rows of the cross-term and gcd tables that the leading parameters pick
-        against = [sum(tables[owner[q], gq][hi[q]] for q in range(lead)) for gq in tail] if lead else []
+        against = [sum(tables[owner[q], gq][hi[q]] for q in range(lead)) for gq in tail] if lead and bound is not None else []
         erows = [tabs[gi, m][i] for gi, i in zip(owner, hi) for m in groups[gi].mults] if gcds else []
         for s in range(int(np.searchsorted(block_idx[0], hi[-1])) if after else 0, rows, CHUNK):
             head = hi + [i[s : s + CHUNK] for i in block_idx]
-            hsum, base = sums(block, head[lead:]), inner(block, head[lead:])
-            base += const + sum(tables[owner[q], owner[r]][head[q]][head[r]] for q, r in combinations(range(cut), 2) if q < lead)
+            hsum = sums(block, head[lead:])
+            if bound is not None:
+                base = inner(block, head[lead:])
+                base += const + sum(tables[owner[q], owner[r]][head[q]][head[r]] for q, r in combinations(range(cut), 2) if q < lead)
             if sum_zero:  # for each head, in key order, the tail rows of sum -(head sum)
                 at = (hsum + psum) * -n
                 h = np.argsort(at, kind="stable")
@@ -413,7 +416,6 @@ def _scan(args) -> np.ndarray:
                 ci = [i[t].astype(np.intp) for i in tail_idx]
                 width = len(ci[0]) if ci else 1
                 cols = columns(hc + ci) if solved is True else None  # e enters the float norm
-                hit = slice(None)
                 if bound is not None:
                     total = base[h] + tail_inner[t]
                     for row, i in zip(against, ci):
@@ -429,14 +431,17 @@ def _scan(args) -> np.ndarray:
                         else:
                             terms = [np.gcd(x, e).astype(np.float64) ** 2 / x for x in cols[:-1]]
                         total += sum(terms) / e
-                    hit = total / 6 <= bound + FLOAT_TOL
-                    if not hit.any():
+                    hit = np.flatnonzero(total / 6 <= bound + FLOAT_TOL)
+                    if not len(hit):
                         continue
+                    # only the hits' element columns are built; head scalars stay
+                    hc, ci, width = hi + [i[hit] for i in hc[lead:]], [i[hit] for i in ci], len(hit)
+                    cols = cols and [x[hit] if np.ndim(x) else x for x in cols]
                 found = np.empty((width, sweep.length), dtype=np.int64)
                 for q, x in enumerate(cols or columns(hc + ci)):
                     found[:, q] = x
-                pending.append(found[hit])
-                held += len(pending[-1])
+                pending.append(found)
+                held += width
                 if held >= CHUNK:  # one _live_rows call per about CHUNK float hits
                     out.append(_live(pending))
                     pending, held = [empty], 0

@@ -53,6 +53,12 @@ def test_landau_breakpoint_cap(num, den, message):
         is_integral(spec)
 
 
+def test_landau_at_the_cap():
+    # (444444 - 1) + (222222 - 1) = 666664 breakpoints times 3 entries is
+    # 1999992, just under the cap; C(2n, n) at 222222 n is integral
+    assert landau_min_max(RatioSpec(numerator=(444444,), denominator=(222222, 222222))) == (0, 1)
+
+
 def test_to_list():
     a = to_list(CHEB)
     assert a == make_list([1, -6, -10, -15, 30])
@@ -98,15 +104,26 @@ def _random_spec(rng, top=60):
             return RatioSpec(numerator=tuple(num), denominator=tuple(den + [last]))
 
 
+def _landau_loop(r: RatioSpec) -> tuple[int, int]:
+    # reference: f at one breakpoint m/v at a time, in Python integers
+    lo = hi = 0
+    for v in set(r.numerator) | set(r.denominator):
+        for m in range(1, v):
+            val = sum(a * m // v for a in r.numerator) - sum(b * m // v for b in r.denominator)
+            lo, hi = min(lo, val), max(hi, val)
+    return lo, hi
+
+
 def test_landau_integer_scan_matches_fraction_scan():
     # f evaluated with one Fraction per distinct breakpoint, as the scan
-    # was written before it worked on integer floors
+    # was written before it worked on integer floors, and by the loop
     rng = random.Random(8)
     for _ in range(1000):
         r = _random_spec(rng)
         points = {F(m, v) for v in r.numerator + r.denominator for m in range(1, v)}
         values = [0] + [_f_at(r, x) for x in points]
         assert landau_min_max(r) == (min(values), max(values)), r
+        assert landau_min_max(r) == _landau_loop(r), r
 
 
 @st.composite
@@ -124,6 +141,7 @@ def _specs(draw):
 @settings(max_examples=60, deadline=None)
 @given(_specs())
 def test_landau_integral_implies_valuations_pass(r):
+    assert landau_min_max(r) == _landau_loop(r)
     if is_integral(r):
         assert valuation_oracle(r, 60) is None
 

@@ -90,6 +90,21 @@ def test_integration_norm_large_entries():
         norm_by_integration(make_list([3, 2**21 + 1]))
 
 
+def test_integration_norm_repeated_and_unit_entries():
+    # +-1 entries have no breakpoints, repeated entries share theirs, and
+    # each other entry's run of breakpoints is reduced on its own: a
+    # reduce that dropped or shifted one entry's run would miss these
+    for raw, expected in (
+        ([-1, 2, 3, -4, -6, -6, 12], F(1, 4)),
+        ([1, 1, -2, -2, 5], F(9, 20)),
+        ([4, -6, 9], F(43, 216)),
+        ([1, 1, 1, -2], F(7, 12)),
+        ([-1, -1, -1], F(3, 4)),
+    ):
+        a = make_list(raw)
+        assert norm_by_integration(a) == norm(a) == expected, raw
+
+
 @settings(max_examples=150, deadline=None)
 @given(nonempty_lists)
 def test_norm_matches_integration(a):

@@ -1,7 +1,7 @@
 """Time the sum-zero enumeration, the classification and small-norm
 sweeps, the lower-bound table, max_separation, the Landau scan, the
-integration norm and the list shape rules (make_list, classify_type,
-family_membership) on fixed inputs.
+integration norm, the list shape rules (make_list, classify_type,
+family_membership) and the in-process CLI on fixed inputs.
 
     python3 bench/layers.py [--against DIR]
 
@@ -23,6 +23,8 @@ file are kept.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -46,6 +48,7 @@ def _calls() -> tuple[dict, dict]:
     by name, and for some of them the inputs they read, built before the
     timed run so that only the calls that read them pay for them."""
     from ratio_lab.bounds import build_table
+    from ratio_lab.cli import run
     from ratio_lab.integrality import RatioSpec, family_membership, landau_min_max
     from ratio_lab.lists import classify_type, make_list, norm_by_integration
     from ratio_lab.search import (
@@ -114,6 +117,17 @@ def _calls() -> tuple[dict, dict]:
         lists = [make_list(r) for r in raws]
         return [classify_type(a) for a in lists if a.length], [family_membership(a) for a in sum_zero]
 
+    def cli_queries():
+        # 12 queries as a certify round makes them in process: 4 norm, 4 check
+        # (Chebyshev, a length-7 and a length-9 sporadic, one not integral) and
+        # 4 liouville --N, in JSON, with stdout sent to a buffer
+        argvs = [["norm", "--list=" + a] for a in ("4,-6,9", "1,-6,-10,-15,30", "-1,2,3,-4,-6,-6,12", "137,-52,9,-181,77,23")]
+        specs = (("30,1", "15,10,6"), ("4,5,30", "6,8,10,15"), ("4,6,9,24", "2,3,8,12,18"), ("2,3", "1,4"))
+        argvs += [["check", "--num=" + num, "--den=" + den] for num, den in specs]
+        argvs += [["liouville", "--N", str(n)] for n in range(20000, 20004)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            return [run(["--format", "json", *argv]) for argv in argvs]
+
     chebyshev_1000 = RatioSpec(numerator=(30000, 1000), denominator=(15000, 10000, 6000))
     calls = {
         "sum_zero_divisor_lists(720, 3)": lambda: sum_zero_divisor_lists(720, 3),
@@ -143,6 +157,7 @@ def _calls() -> tuple[dict, dict]:
         "norm_by_integration(75 golden entries)": lambda: [norm_by_integration(a) for a in golden_lists()],
         "norm_by_integration(200 seeded lists)": lambda: [norm_by_integration(a) for a in seeded_lists()],
         "shape rules": shape_rules,
+        "cli.run(12 certify-style queries)": cli_queries,
     }
     inputs = {
         "max_separation(criterion 8 triple box)": triple_box,

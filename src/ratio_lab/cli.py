@@ -25,6 +25,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from ratio_lab.bounds import build_table, max_length_for_D
 from ratio_lab.integrality import (
@@ -243,6 +244,7 @@ def _cmd_catalog(args) -> int:
     return 1 if failures else 0
 
 
+@cache  # built once per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratio-lab",

@@ -11,28 +11,29 @@ two pairable shape sweeps and a sum-zero sweep over divisors of
 a recombination of [1,-2,-3,6] with the small-norm length-5 catalogue.
 
 Every sweep is data (`_Sweep`) run by one engine, `_scan`: parameter
-groups (a support, how many parameters are drawn from it, the multiples
-m*v a parameter v contributes), an optional last element solved from the
-zero sum, a float norm bound (1/4 for every classification sweep) and an
-exact `keep` predicate.  The engine is one sorted join: each head takes
-one searchsorted range of the sorted tail rows, so only rows that can
-hit are visited, each multiset once, and their float norms come from
-cross-term tables.  A row whose elements one of the primes 2, 3, 5, 7
-all divide is not primitive, a scaled copy of a list of the same norm,
-so it is never a result, and the engine skips it before its float
-norm: each value carries a mask of the primes dividing every element it
-gives, and a row is skipped when the AND of its masks is not 0 (`_scan`).
-`_live_rows` drops the remaining degenerate and non-primitive rows,
-`_confirm` decides the rest exactly, and a sweep returns one list
-per +- pair (`_dedup`, up to permutation and global sign flip).  One
-rule names a pair: of a list and its negation, the one whose canonical
-tuple starts negative (`canonical_pair_key`).  Where every support is
-laid out in (-d, d) pairs, the negation of a row is a row too, and the
-engine visits only the member of each pair that starts negative, which
-halves the work and is the member `_dedup` keeps; so
-`sum_zero_divisor_lists` gets just that member at every length.  The
-float bound only prunes: every sweep checks that the error bound of
-`_prefilter_error` is below FLOAT_TOL.
+groups, the rows it enumerates (a support, how many parameters are drawn
+from it, the multiples m*v a parameter v contributes), a free last
+element (minus the sum) or a join (only the rows that sum to zero, whose
+last element is a parameter like any other), a float norm bound (1/4 for
+every classification sweep) and an exact `keep` predicate.  The engine
+is one sorted join: each head takes one searchsorted range of the sorted
+tail rows, so only rows that can hit are visited, each multiset once,
+and their float norms come from cross-term tables.  A row whose elements
+one of the primes 2, 3, 5, 7 all divide is not primitive, a scaled copy
+of a list of the same norm, so it is never a result, and the engine
+skips it before its float norm: each value carries a mask of the primes
+dividing every element it gives, and a row is skipped when the AND of
+its masks is not 0 (`_scan`).  `_live_rows` drops the remaining
+degenerate and non-primitive rows, `_confirm` decides the rest exactly,
+and a sweep returns one list per +- pair (`_dedup`, up to permutation
+and global sign flip).  One rule names a pair: of a list and its
+negation, the one whose canonical tuple starts negative
+(`canonical_pair_key`).  Where every support is laid out in (-d, d)
+pairs, the negation of a row is a row too, and the engine visits only
+the member of each pair that starts negative, which halves the work and
+is the member `_dedup` keeps; so `sum_zero_divisor_lists` gets just that
+member at every length.  The float bound only prunes: every sweep checks
+that the error bound of `_prefilter_error` is below FLOAT_TOL.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ CHUNK = 1 << 13
 # the at-most-7-separated support of pairable sum-zero lists (the length-7 type A
 # sweep, the length-5 lemma); quoted from the source analysis, not derived
 PAIRABLE_SUPPORT = 2**6 * 3**2 * 5**2 * 7**2
+# _Sweep.solved of a join: the rows of its groups that sum to zero
+JOIN = "join"
 
 
 def _signed_divisors(m: int) -> tuple[int, ...]:
@@ -136,22 +139,27 @@ class _Group:
 
 @dataclass(frozen=True)
 class _Sweep:
-    """A sweep as data.  A row holds its parameters' elements in group
-    order, then, if `solved` is set, minus their sum, which must be
-    nonzero (True) or one of the values in `solved`.  _scan makes such a
-    last element one more parameter, of the last group if that group's
-    values are `solved` (then each multiset is reached once).  `bound`,
-    if set, keeps rows of float norm <= bound + FLOAT_TOL; norm-1/4
-    searches take 0.25, as odd-length sum-zero rows have norm >= 1/4
+    """A sweep as data, its groups written as the rows it enumerates.  A
+    row holds its parameters' elements in group order, then, if `solved`
+    is True, minus their sum, which must be nonzero.  A join (`solved`
+    JOIN) keeps the rows that sum to zero, so its last element is a
+    parameter of a group like any other.  `bound`, if set, keeps rows of
+    float norm <= bound + FLOAT_TOL; norm-1/4 searches take 0.25, as
+    odd-length sum-zero rows have norm >= 1/4
     (tests/test_lists.py::test_odd_sum_zero_norm_at_least_quarter)."""
 
     groups: tuple[_Group, ...]
     bound: float | None = None
-    solved: bool | tuple[int, ...] = False
+    solved: bool | str = False
 
     @property
     def length(self) -> int:
-        return sum(g.count * len(g.mults) for g in self.groups) + (self.solved is not False)
+        return sum(g.count * len(g.mults) for g in self.groups) + (self.solved is True)
+
+
+def _pairable(m: int, k: int) -> tuple[_Group, _Group]:
+    """The pairable shape [a,-2a,...,c], k pairs then c, elements dividing m."""
+    return (_Group(_signed_divisors(m // 2), k, (1, -2)), _Group(_signed_divisors(m), 1))
 
 
 def _prefilter_error(length: int) -> float:
@@ -252,7 +260,7 @@ def _class_primes(elements) -> list[int]:
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _scan(args) -> np.ndarray:
+def _scan(sweep: _Sweep, part: int = 0, parts: int = 1) -> np.ndarray:
     """Float-prefilter one share of a sweep: its surviving live rows.
 
     The tail's index rows are built once, in first index order, and
@@ -260,7 +268,8 @@ def _scan(args) -> np.ndarray:
     first group) if the row sums to zero, else stably by class (below).
     A Python loop runs over the leading head parameters, the rows of
     _index_rows in lexical order, every `parts`-th from `part` on, the
-    others forming numpy blocks.  In a sum-zero join each head takes one
+    others forming numpy blocks.  In a sum-zero join (JOIN, whose last
+    element's support is a group of the sweep's own) each head takes one
     searchsorted range of tail rows, sum -(head sum), first index from the
     head's last on if both are of one group, so each multiset is reached
     once; a block's heads look their ranges up in key order, so that each
@@ -286,27 +295,21 @@ def _scan(args) -> np.ndarray:
     is minus the sum of the others, so a prime dividing them all divides
     it.  Larger primes are ignored, so _live_rows stays the exact gate.
 
-    A sweep is +- paired when every group's values, the solved group's
-    included, are (-d, d) pairs and group 0's first multiple is positive,
-    as _signed_divisors and _box lay them out.  Negation then maps index
-    i to i^1 in every group and the float bound keeps a row exactly when
-    it keeps its negation, so of each live row and its negation exactly
-    one has an even first index (a row with both i and i^1 holds d and -d
-    and is not live), and only those rows are visited.  One mask, before
+    A sweep is +- paired when every group's values are (-d, d) pairs and
+    group 0's first multiple is positive, as _signed_divisors and _box
+    lay them out.  Negation then maps index i to i^1 in every group and
+    the float bound keeps a row exactly when it keeps its negation, so of
+    each live row and its negation exactly one has an even first index (a
+    row with both i and i^1 holds d and -d and is not live), and only
+    those rows are visited.  One mask, before
     any sums, keeps them: on the heads, before the deal to the shares, or
     with no head parameter (lead 0) on the tail rows.  Each kept row
     starts negative, so it is the smaller of its pair.  Negation keeps a
     row's class, so the two rules compose."""
-    sweep, part, parts = args
     groups, solved, bound = sweep.groups, sweep.solved, sweep.bound
     owner = [gi for gi, g in enumerate(groups) for _ in range(g.count)]  # group of each parameter
-    sum_zero = isinstance(solved, tuple)
-    if sum_zero:
-        # a last element confined to a support is one more parameter, of the last
-        # group if that group is the support; the split balances heads and tail rows
-        if groups[-1] != _Group(solved, groups[-1].count):
-            groups += (_Group(solved, 1),)
-        owner.append(len(groups) - 1)
+    sum_zero = solved == JOIN
+    if sum_zero:  # the split balances heads and tail rows
         size = lambda c: _n_combos(groups, owner[:c]) + _n_combos(groups, owner[c:])  # noqa: E731
         cut, lead = min(range(1, max(2, len(owner))), key=lambda c: (size(c), -c)), 1
     else:
@@ -325,7 +328,7 @@ def _scan(args) -> np.ndarray:
     def sums(params, cols):
         """Element sums of rows, for a join (one row for none)."""
         total = np.zeros(len(cols[0]) if cols else 1, dtype=np.int64)
-        for gi, i in zip(params, cols) if sum_zero else ():
+        for gi, i in zip(params, cols):
             total += sum(groups[gi].mults) * vals[gi][i]
         return total
 
@@ -394,12 +397,11 @@ def _scan(args) -> np.ndarray:
         erows = [tabs[gi, m][i] for gi, i in zip(owner, hi) for m in groups[gi].mults] if gcds else []
         for s in range(int(np.searchsorted(block_idx[0], hi[-1])) if after else 0, rows, CHUNK):
             head = hi + [i[s : s + CHUNK] for i in block_idx]
-            hsum = sums(block, head[lead:])
             if bound is not None:
                 base = inner(block, head[lead:])
                 base += const + sum(tables[owner[q], owner[r]][head[q]][head[r]] for q, r in combinations(range(cut), 2) if q < lead)
             if sum_zero:  # for each head, in key order, the tail rows of sum -(head sum)
-                at = (hsum + psum) * -n
+                at = (sums(block, head[lead:]) + psum) * -n
                 h = np.argsort(at, kind="stable")
                 lo = np.searchsorted(key, (at + (head[-1] if shared else 0))[h])
                 hits = _joined(h, lo, np.searchsorted(key, at[h] + n))
@@ -465,16 +467,16 @@ def _rows(sweep: _Sweep, jobs: int = 1) -> np.ndarray:
     if not all(g.values for g in groups):
         return np.empty((0, length), dtype=np.int64)
     biggest = max((abs(m * v) for g in groups for m in g.mults for v in g.values), default=0)
-    n = max(map(len, [g.values for g in groups] + [sweep.solved])) if isinstance(sweep.solved, tuple) else 1
+    n = max(len(g.values) for g in groups) if sweep.solved == JOIN else 1
     if ((length - 1) * biggest + 1) * n >= 2**63:
         raise ValueError(f"row sums times {n} support values (the join key) overflow int64")
     err = _prefilter_error(length) + 2.0**-52 * (1 + abs(sweep.bound or 0))
     if sweep.bound is not None and (length * biggest >= 2**53 or not err < FLOAT_TOL):
         raise ArithmeticError(f"float prefilter bound {err:.2e} is not below FLOAT_TOL {FLOAT_TOL:.2e}")
     if jobs == 1:
-        return _scan((sweep, 0, 1))
+        return _scan(sweep)
     with Pool(jobs) as pool:
-        return np.concatenate(pool.map(_scan, [(sweep, s, jobs) for s in range(jobs)]))
+        return np.concatenate(pool.starmap(_scan, [(sweep, s, jobs) for s in range(jobs)]))
 
 
 def _confirm(sweep: _Sweep, keep, jobs: int = 1) -> list[SignedList]:
@@ -535,8 +537,7 @@ def sum_zero_divisor_lists(modulus: int, length: int) -> list[SignedList]:
     canonical_pair_key, which becomes a SignedList directly."""
     if length < 2 or length > 7:
         raise ValueError("supported lengths: 2..7")
-    vals = _signed_divisors(modulus)
-    rows = _rows(_Sweep((_Group(vals, length - 1),), None, vals))
+    rows = _rows(_Sweep((_Group(_signed_divisors(modulus), length),), None, JOIN))
     rows = rows[np.lexsort(rows.T[::-1])]
     return [SignedList(tuple(t)) for c in range(0, len(rows), CHUNK) for t in rows[c : c + CHUNK].tolist()]
 
@@ -548,24 +549,22 @@ def sum_zero_divisor_lists(modulus: int, length: int) -> list[SignedList]:
 def _type_a_sweep_7(jobs: int = 1) -> list[SignedList]:
     """Pairable [a,-2a,b,-2b,c,-2c,d=a+b+c] with elements dividing
     PAIRABLE_SUPPORT = 2^6*3^2*5^2*7^2."""
-    sweep = _Sweep((_Group(_signed_divisors(PAIRABLE_SUPPORT // 2), 3, (1, -2)),), 0.25, _signed_divisors(PAIRABLE_SUPPORT))
-    return _confirm(sweep, _is_quarter, jobs)
+    return _confirm(_Sweep(_pairable(PAIRABLE_SUPPORT, 3), 0.25, JOIN), _is_quarter, jobs)
 
 
 def _type_a3_sweep_7(jobs: int = 1) -> list[SignedList]:
     """[a,-2a,b,-2b,c,-3c,d=a+b+2c] with elements dividing 2^12*3^6*5^6
     (the plain at-most-5-separated support; sound but not sharp)."""
     M = 2**12 * 3**6 * 5**6
-    groups = (_Group(_signed_divisors(M // 2), 2, (1, -2)), _Group(_signed_divisors(M // 3), 1, (1, -3)))
-    return _confirm(_Sweep(groups, 0.25, _signed_divisors(M)), _is_quarter, jobs)
+    groups = (_Group(_signed_divisors(M // 2), 2, (1, -2)), _Group(_signed_divisors(M // 3), 1, (1, -3)), _Group(_signed_divisors(M), 1))
+    return _confirm(_Sweep(groups, 0.25, JOIN), _is_quarter, jobs)
 
 
 def _type_b_sweep_7(jobs: int = 1) -> list[SignedList]:
     """Sum-zero sweep over divisors of 2^10*3^5 (the at-most-4-separated
     support for non-pairable lists, quoted from the source analysis, not
     derived), keeping norm-1/4 results."""
-    vals = _signed_divisors(2**10 * 3**5)
-    return _confirm(_Sweep((_Group(vals, 6),), 0.25, vals), _is_quarter, jobs)
+    return _confirm(_Sweep((_Group(_signed_divisors(2**10 * 3**5), 7),), 0.25, JOIN), _is_quarter, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +574,7 @@ def _type_b_sweep_7(jobs: int = 1) -> list[SignedList]:
 def _type_a_sweep_9(jobs: int = 1) -> list[SignedList]:
     """Pairable [a,-2a,...,d,-2d,e=a+b+c+d] with elements dividing
     2^16*3^8 (the plain at-most-4-separated support for length 9)."""
-    M = 2**16 * 3**8
-    sweep = _Sweep((_Group(_signed_divisors(M // 2), 4, (1, -2)),), 0.25, _signed_divisors(M))
-    return _confirm(sweep, _is_quarter, jobs)
+    return _confirm(_Sweep(_pairable(2**16 * 3**8, 4), 0.25, JOIN), _is_quarter, jobs)
 
 
 def _combine_sweep_9() -> list[SignedList]:
@@ -708,7 +705,7 @@ _SMALL_NORM = {
     # pairable, over PAIRABLE_SUPPORT
     5: (
         Fraction(31, 168),
-        lambda t: [(_Group(_signed_divisors(PAIRABLE_SUPPORT // 2), 2, (1, -2)), _Group(_signed_divisors(PAIRABLE_SUPPORT), 1))],
+        lambda t: [_pairable(PAIRABLE_SUPPORT, 2)],
         "pairable [a,-2a,b,-2b,c] over divisors of 2^6*3^2*5^2*7^2",
     ),
     # non-pairable: divisors of 2^5*3^4 cover the 3-separated case, and two
@@ -726,7 +723,7 @@ _SMALL_NORM = {
     # is attained here, and every other case exceeds it
     7: (
         Fraction(5, 24),
-        lambda t: [(_Group(_signed_divisors(2**8 * 3**3), 3, (1, -2)), _Group(_signed_divisors(2**9 * 3**3), 1))],
+        lambda t: [_pairable(2**9 * 3**3, 3)],
         "pairable over divisors of 2^9*3^3; global minimum 5/24",
     ),
     # the global minimum 8/45 is attained on divisors of 30

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ratio_lab.cli import run
+from ratio_lab.cli import _build_parser, run
 from ratio_lab.lists import make_list, norm
 
 
@@ -300,3 +300,36 @@ def test_classify_jobs_bounded_by_cpu_count(capsys, monkeypatch):
     # the upper end is allowed: the sweep gets as far as creating its pool
     with pytest.raises(_PoolCreated):
         run(["classify", "--length", "5", "--jobs", "2"])
+
+
+def test_shared_parser_carries_nothing_between_calls(capsys):
+    # run builds its parser once per process; each pair runs back to back,
+    # the second call without the option or format the first one set
+    assert _build_parser() is _build_parser()
+    pairs = [
+        (["separate", "--list", "30,-15,-10,-6,1", "--k", "3"], "3-separated: yes\n  a = 1 * [1, -10] + -3 * [2, 5, -10]\n"),
+        (["separate", "--list", "30,-15,-10,-6,1"], "max separation: 5\nk with witnesses: [2, 3, 5]\n"),
+        (["liouville", "--N", "6"], "L(6) = [1, -2, -3, 6]\nnorm 1/9 (formula 1/9)\n"),
+        (["liouville", "--probe", "2"], "k=2  N_k=16\nupper 17/96  lower 5/72  ratio 2.550000\n"),
+        (["--format", "json", "norm", "--list", "4,-6,9"], '{"list": ["4", "-6", "9"], "norm": "43/216"}\n'),
+        (["norm", "--list", "4,-6,9"], "43/216\n"),
+    ]
+    for argv, expected in pairs:
+        assert invoke(capsys, *argv) == (0, expected)
+    with pytest.raises(SystemExit) as exc:
+        run(["liouville", "--N", "6", "--probe", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert invoke(capsys, "liouville", "--N", "6") == (0, "L(6) = [1, -2, -3, 6]\nnorm 1/9 (formula 1/9)\n")
+
+
+with open(os.path.join(os.path.dirname(__file__), "data", "readme_examples.json"), encoding="utf-8") as _fh:
+    README_EXAMPLES = json.load(_fh)
+
+
+@pytest.mark.parametrize("case", README_EXAMPLES, ids=lambda c: "-".join(c["argv"][1:3]))
+def test_readme_examples_unchanged(capsys, case):
+    # the README's CLI examples in both formats (classify --length 5 in JSON
+    # only), stdout and exit code recorded from an earlier build: every
+    # change keeps them byte-identical
+    assert invoke(capsys, *case["argv"]) == (case["code"], case["stdout"])

@@ -154,9 +154,9 @@ S12 = search._signed_divisors(12)
     ids=["plain", "strict", "non-strict", "sum-zero", "norm-equals", "box", "type-filter"],
 )
 def test_enumerate_matches_naive_reference_tiny(values, count, bound, solved, keep):
-    # one group of `count` parameters; a solved element joins it, so the
-    # candidates are the (sum-zero) multisets of the support in support order
-    sweep = search._Sweep((search._Group(values, count),), bound, values if solved else False)
+    # one group of `count` parameters, one more in a join, so the candidates
+    # are the (sum-zero) multisets of the support in support order
+    sweep = search._Sweep((search._Group(values, count + solved),), bound, search.JOIN if solved else False)
     combos = combinations_with_replacement(values, count + solved)
     candidates = [c for c in combos if not solved or sum(c) == 0]
     ref = _first_per_key(candidates, keep)
@@ -205,7 +205,7 @@ def test_canonical_pair_key_is_the_smaller_of_the_pair():
 def _sum_zero_sweep(modulus, length, bound):
     """The join of sum_zero_divisor_lists(modulus, length), with the float norm bound `bound`."""
     vals = search._signed_divisors(modulus)
-    return search._Sweep((search._Group(vals, length - 1),), bound, vals)
+    return search._Sweep((search._Group(vals, length),), bound, search.JOIN)
 
 
 def test_sum_zero_prefilter_keeps_quarter_keys():
@@ -221,17 +221,17 @@ def test_sum_zero_prefilter_keeps_quarter_keys():
 
 
 def test_sum_zero_join_two_groups():
-    # [a,-2a,b,-2b,c,-2c,d] with a, b, c among the divisors of 18 and d,
-    # solved from the zero sum, among the divisors of 36: the join picks d
-    # as a parameter of a second group.  The support of a, b, c runs from
+    # [a,-2a,b,-2b,c,-2c,d] with a, b, c among the divisors of 18 and d
+    # among the divisors of 36, kept where the sum is zero: d is the
+    # parameter of a second group.  The support of a, b, c runs from
     # large |v| to small, so the last head block, a = -1, holds the list
     # [-1,2,-1,2,-1,2,-3], which comes before its negation in sorted order
     # and so is the representative.
     support = tuple(v for d in (18, 9, 6, 3, 2, 1) for v in (d, -d))
-    solved = tuple(_signed_divisors(36))
-    sweep = search._Sweep((search._Group(support, 3, (1, -2)),), None, solved)
+    last = tuple(_signed_divisors(36))
+    sweep = search._Sweep((search._Group(support, 3, (1, -2)), search._Group(last, 1)), None, search.JOIN)
     triples = combinations_with_replacement(support, 3)
-    cands = [(a, -2 * a, b, -2 * b, c, -2 * c, a + b + c) for a, b, c in triples if a + b + c in solved]
+    cands = [(a, -2 * a, b, -2 * b, c, -2 * c, a + b + c) for a, b, c in triples if a + b + c in last]
     # each multiset is reached once, as its tuple in support order
     live = [t for t in cands if make_list(t).length == 7 and make_list(t).is_primitive()]
     assert sorted(map(tuple, search._rows(sweep).tolist())) == sorted(live)
@@ -273,14 +273,14 @@ def test_float_prefilter_bound_is_checked(monkeypatch):
 def test_sweep_int64_limits():
     # past 2^53 a float bound is unsound, but a sweep without one is exact
     support = tuple(v for d in (1, 2**54, 2**54 + 1) for v in (-d, d))
-    sweep = search._Sweep((search._Group(support, 2),), None, support)
+    sweep = search._Sweep((search._Group(support, 3),), None, search.JOIN)
     assert keys(search._confirm(sweep, lambda a: True)) == {(-1, -(2**54), 2**54 + 1)}
     with pytest.raises(ArithmeticError):
-        search._rows(search._Sweep(sweep.groups, 1.0, support))
+        search._rows(search._Sweep(sweep.groups, 1.0, search.JOIN))
     # the join key, a row sum times the support size, must fit in int64
     huge = tuple(v for d in (1, 2**61) for v in (-d, d))
     with pytest.raises(ValueError, match="join key"):
-        search._rows(search._Sweep((search._Group(huge, 2),), None, huge))
+        search._rows(search._Sweep((search._Group(huge, 3),), None, search.JOIN))
 
 
 def test_divisor_sweep_jobs_invariant(monkeypatch):
@@ -322,27 +322,26 @@ def test_paired_heads_masked_before_the_deal():
     # odd first indices go before the heads are dealt, so both of two shares
     # work (_scan takes its share directly, so no CPU count is read)
     sweep = _sum_zero_sweep(720, 7, None)
-    shares = [search._scan((sweep, part, 2)).tolist() for part in (0, 1)]
+    shares = [search._scan(sweep, part, 2).tolist() for part in (0, 1)]
     assert all(shares)
-    assert sorted(shares[0] + shares[1]) == sorted(search._scan((sweep, 0, 1)).tolist())
+    assert sorted(shares[0] + shares[1]) == sorted(search._scan(sweep).tolist())
 
 
 def _live_candidates(sweep):
     """Every live row of a sweep by brute force, in the engine's layout,
     mapped to its +- class.  A row is a multiset of parameters per group,
     in support order, each giving its multiples, then minus the row sum
-    if `solved` is True; a support `solved` (equal to the one group's
-    values here) adds one parameter that brings the sum to zero.  The
+    if `solved` is True; a join keeps the rows that sum to zero.  The
     class is the smaller of the row and the row of the negated parameters."""
     groups, solved = sweep.groups, sweep.solved
-    joined = isinstance(solved, tuple)
+    joined = solved == search.JOIN
 
     def layout(params):
         row = tuple(m * v for g, ps in zip(groups, params) for v in ps for m in g.mults)
         return row + (-sum(row),) if solved is True else row
 
     out = {}
-    for params in product(*(combinations_with_replacement(g.values, g.count + joined) for g in groups)):
+    for params in product(*(combinations_with_replacement(g.values, g.count) for g in groups)):
         row = layout(params)
         if (joined and sum(row)) or 0 in row:
             continue
@@ -359,7 +358,7 @@ def _live_candidates(sweep):
         ((search._Group(S12, 4),), 0.3, False, search.TAIL_ROWS),
         ((search._Group(S12, 4),), 0.3, False, 100),  # as in test_head_deal_jobs_invariant
         ((search._Group(search._box(6), 1, (1, -2)), search._Group(search._box(4), 1, (1, -3))), None, True, search.TAIL_ROWS),
-        ((search._Group(S12, 3),), None, S12, search.TAIL_ROWS),
+        ((search._Group(S12, 4),), None, search.JOIN, search.TAIL_ROWS),
     ],
     ids=["lead-0", "lead-2", "family-lead-0", "join-lead-1"],
 )
@@ -399,7 +398,7 @@ S858 = search._signed_divisors(2 * 3 * 11 * 13)
 @pytest.mark.parametrize(
     "groups, solved, tail_rows",
     [
-        ((search._Group(S858, 3),), S858, search.TAIL_ROWS),
+        ((search._Group(S858, 4),), search.JOIN, search.TAIL_ROWS),
         ((search._Group(S858, 4),), True, search.TAIL_ROWS),
         ((search._Group(search._box(12), 3),), False, search.TAIL_ROWS),
         ((search._Group(search._box(12), 3),), False, 300),
@@ -439,7 +438,7 @@ def test_live_rows_sees_no_row_a_small_prime_divides(monkeypatch):
     box = search._Sweep((search._Group(search._box(12), 3),), 0.3)
     join = _sum_zero_sweep(720, 7, None)
     for part in (0, 1):
-        assert len(search._scan((join, part, 2))) and len(search._scan((box, part, 2)))
+        assert len(search._scan(join, part, 2)) and len(search._scan(box, part, 2))
     g = np.concatenate([np.gcd.reduce(rows, axis=1) for rows in seen])
     assert len(g) > 10000
     for p in (2, 3, 5, 7):

@@ -1,6 +1,6 @@
 """Time the sum-zero enumeration, the classification and small-norm
-sweeps, the lower-bound table, max_separation, the Landau scan, the
-integration norm, the list shape rules (make_list, classify_type,
+sweeps, the lower-bound table, the separation queries, the Landau scan,
+the integration norm, the list shape rules (make_list, classify_type,
 family_membership) and the in-process CLI on fixed inputs.
 
     python3 bench/layers.py [--against DIR]
@@ -62,7 +62,7 @@ def _calls() -> tuple[dict, dict]:
         small_norm_catalog,
         sum_zero_divisor_lists,
     )
-    from ratio_lab.separation import max_separation
+    from ratio_lab.separation import find_separations, max_separation, separation_orders
 
     @cache
     def triple_box():
@@ -77,6 +77,14 @@ def _calls() -> tuple[dict, dict]:
                         if a.length == 3 and a.is_primitive():
                             seen.setdefault(a.elements, a)
         return list(seen.values())
+
+    @cache
+    def random_lists():
+        # the primitive lists among 1000 random.Random(22) draws of length 2..5
+        # with entries in +-1..20, as the acceptance suite's criterion 8 draws them
+        rng = random.Random(22)
+        lists = [make_list([rng.choice((-1, 1)) * rng.randint(1, 20) for _ in range(rng.randint(2, 5))]) for _ in range(1000)]
+        return [a for a in lists if a.length >= 2 and a.is_primitive()]
 
     @cache
     def sporadic_specs():
@@ -152,6 +160,8 @@ def _calls() -> tuple[dict, dict]:
         "build_table(128, 3)": lambda: build_table(128, 3),
         "build_table(256, 3)": lambda: build_table(256, 3),
         "max_separation(criterion 8 triple box)": lambda: [max_separation(a) for a in triple_box()],
+        "find_separations(criterion 8 random lists, k = 2..7)": lambda: [find_separations(a, k) for a in random_lists() for k in range(2, 8)],
+        "separation_orders(criterion 8 random lists)": lambda: [separation_orders(a) for a in random_lists()],
         "landau_min_max(52 sporadic specs)": lambda: [landau_min_max(r) for r in sporadic_specs()],
         "landau_min_max(1000 x Chebyshev)": lambda: landau_min_max(chebyshev_1000),
         "norm_by_integration(75 golden entries)": lambda: [norm_by_integration(a) for a in golden_lists()],
@@ -161,6 +171,8 @@ def _calls() -> tuple[dict, dict]:
     }
     inputs = {
         "max_separation(criterion 8 triple box)": triple_box,
+        "find_separations(criterion 8 random lists, k = 2..7)": random_lists,
+        "separation_orders(criterion 8 random lists)": random_lists,
         "landau_min_max(52 sporadic specs)": sporadic_specs,
         "norm_by_integration(75 golden entries)": golden_lists,
         "norm_by_integration(200 seeded lists)": seeded_lists,

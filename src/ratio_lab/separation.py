@@ -16,11 +16,18 @@ with b~ = (B/k) b and c~ = C c (symmetrically when k | C).  Lists that are
 at most k-separated have all elements dividing an explicit modulus, which
 is what makes the exhaustive classification searches finite.
 
-Every query walks the splits one way: B and C come from the signed
-contents of the two sides, and the test runs on a's own elements, so
-make_list builds parts only for the witnesses find_separations returns.
-Each valid k divides B or C, so separation_orders tries only their
-divisors, and max_separation is its largest entry.
+Every query walks the splits one way, with B and C the signed contents
+of the two sides, and make_list builds parts only for the witnesses
+find_separations returns.  Each split side has one order: with k | B the
+split is a k-separation exactly when k divides
+
+    K_B = |B| / gcd(B, lcm(c)),
+
+and likewise K_C.  Proof: B and C are coprime, as gcd(B, C) divides every
+element of a.  For p | k, gcd(e, c_j) = gcd(e/k, c_j) holds exactly when
+v_p(k) <= v_p(e) - v_p(c_j) wherever v_p(c_j) > 0; the smallest v_p(e)
+on B's side is v_p(B), as b is primitive, and the largest v_p(c_j) is
+v_p(lcm(c)).
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from ratio_lab.arith import divisors, factorize, primes_upto
 from ratio_lab.lists import SignedList, concat, make_list, norm, scale
@@ -111,15 +118,9 @@ def _splits(a: SignedList):
             yield side, B, other, C
 
 
-def _separated(k: int, els: tuple[int, ...], side, B: int, other, C: int) -> bool:
-    """Whether a split is a k-separation: k divides exactly one of B, C,
-    and gcd(e, c) = gcd(e/k, c) for every element e of a on that side and
-    every element c of the other side's primitive part."""
-    if C % k == 0:
-        side, B, other, C = other, C, side, B
-    if B % k or C % k == 0:
-        return False
-    return all(gcd(els[i], els[j] // C) == gcd(els[i] // k, els[j] // C) for i in side for j in other)
+def _order(els: tuple[int, ...], B: int, other, C: int) -> int:
+    """K_B of the module docstring, for the side with content B."""
+    return abs(B) // gcd(B, lcm(*(els[j] // C for j in other)))
 
 
 def find_separations(a: SignedList, k: int) -> list[SeparationWitness]:
@@ -130,7 +131,7 @@ def find_separations(a: SignedList, k: int) -> list[SeparationWitness]:
     els = a.elements
     out = []
     for side, B, other, C in _splits(a):
-        if _separated(k, els, side, B, other, C):
+        if (B % k == 0 and _order(els, B, other, C) % k == 0) or (C % k == 0 and _order(els, C, side, B) % k == 0):
             b, c = make_list(els[i] // B for i in side), make_list(els[i] // C for i in other)
             out.append(SeparationWitness(k, b, c, B, C, frozenset(side)))
     out.sort(key=lambda w: sorted(w.b_indices))
@@ -138,26 +139,24 @@ def find_separations(a: SignedList, k: int) -> list[SeparationWitness]:
 
 
 def separation_orders(a: SignedList) -> list[int]:
-    """Every k >= 2 for which a primitive list is k-separated, ascending.
-
-    Every such k divides the B or C of a split that passes, so testing the
-    divisors of the finitely many split coefficients is exhaustive.  B
-    divides the element at side[0] and C the one at other[0], so each
-    element is factorized once and the coefficients' divisors are built
-    from its primes.  As in _splits, at most 18 entries.
-    """
-    primes = cache(lambda i: [p for p, _ in factorize(abs(a.elements[i]))])
+    """Every k >= 2 for which a primitive list is k-separated, ascending:
+    the divisors > 1 of each split side's order.  An order divides its
+    side's first element, so its divisors come from that element's primes
+    and each element is factorized once.  As in _splits, at most 18 entries."""
+    els = a.elements
+    primes = cache(lambda i: [p for p, _ in factorize(abs(els[i]))])
     found = set()
     for side, B, other, C in _splits(a):
-        for k in {*divisors(B, primes(side[0])), *divisors(C, primes(other[0]))} - found - {1}:
-            if _separated(k, a.elements, side, B, other, C):
-                found.add(k)
-    return sorted(found)
+        found.update(divisors(_order(els, B, other, C), primes(side[0])))
+        found.update(divisors(_order(els, C, side, B), primes(other[0])))
+    return sorted(found - {1})
 
 
 def max_separation(a: SignedList) -> int:
-    """Largest k >= 2 for which a is k-separated, or 1 if none."""
-    return max(separation_orders(a), default=1)
+    """Largest k >= 2 for which a is k-separated, or 1 if none: the
+    largest order of a split side, which needs no factorization."""
+    els = a.elements
+    return max(max(_order(els, B, other, C), _order(els, C, side, B)) for side, B, other, C in _splits(a))
 
 
 def check_decomposition(

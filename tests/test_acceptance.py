@@ -146,18 +146,11 @@ def test_criterion_5_small_norm_lemmas(small_norm):
 
 
 def _landau_nonneg(num, den) -> bool:
-    """min f >= 0 for f = sum floor(a x) - sum floor(b x), early exit."""
+    """min f >= 0 for f = sum floor(a x) - sum floor(b x), early exit;
+    at x = m/v each floor(a x) is the integer a*m // v."""
     for v in sorted({*num, *den}):
         for m in range(1, v):
-            x = F(m, v)
-            total = 0
-            for a in num:
-                val = a * x
-                total += val.numerator // val.denominator
-            for b in den:
-                val = b * x
-                total -= val.numerator // val.denominator
-            if total < 0:
+            if sum(a * m // v for a in num) - sum(b * m // v for b in den) < 0:
                 return False
     return True
 

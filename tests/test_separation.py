@@ -76,7 +76,7 @@ def test_split_walk_entry_cap(monkeypatch):
     monkeypatch.setattr(separation, "combinations", no_walk)
     monkeypatch.setattr(separation, "factorize", no_walk)
     a = make_list(range(1, 39, 2))
-    for query in (lambda: find_separations(a, 2), lambda: separation_orders(a)):
+    for query in (lambda: find_separations(a, 2), lambda: separation_orders(a), lambda: max_separation(a)):
         with pytest.raises(ValueError, match="list has 19 entries, above the cap of 18"):
             query()
     with pytest.raises(_Started):  # 18 entries get as far as the walk
@@ -98,6 +98,17 @@ def test_separation_orders_factorizes_each_entry_once(monkeypatch):
     monkeypatch.setattr(separation, "factorize", counted, raising=False)
     assert separation_orders(a) == [2, 3, 5, 7, P]
     assert sorted(calls) == sorted(abs(e) for e in a.elements)
+
+
+def test_max_separation_factorizes_nothing(monkeypatch):
+    P = 999_999_999_989
+
+    def refused(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(ratio_lab.arith, "factorize", refused)
+    monkeypatch.setattr(separation, "factorize", refused, raising=False)
+    assert max_separation(make_list([1] + [i * P for i in range(1, 8)])) == P
 
 
 def test_support_bound_values():
@@ -319,12 +330,25 @@ def _criterion_8_lists():
             yield a
 
 
+def _smooth_lists(count):
+    # random primitive lists of length 2..6 with entries +-2^i 3^j 5^l, where
+    # a side's content and the other side's lcm share primes
+    rng = random.Random(5)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 6)
+        a = make_list([rng.choice([-1, 1]) * 2 ** rng.randint(0, 4) * 3 ** rng.randint(0, 3) * 5 ** rng.randint(0, 2) for _ in range(n)])
+        if a.length == n and a.is_primitive():
+            out.append(a)
+    return out
+
+
 def _as_tuple(w):
     return (w.k, w.B, w.C, w.b_part.elements, w.c_part.elements, tuple(sorted(w.b_indices)))
 
 
 def test_witnesses_match_reference_walk():
-    lists = list(_criterion_8_lists()) + [CHEB, make_list([1, -5, 25]), make_list([4, 6, -9, 10, -15, 12])]
+    lists = list(_criterion_8_lists()) + _smooth_lists(150) + [CHEB, make_list([1, -5, 25]), make_list([4, 6, -9, 10, -15, 12])]
     witnesses = 0
     for a in lists:
         for k in range(2, 8):
@@ -336,7 +360,7 @@ def test_witnesses_match_reference_walk():
 
 
 def test_separation_orders_match_range_scan():
-    for a in list(_criterion_8_lists())[:300] + [CHEB, make_list([1, -5, 25])]:
+    for a in list(_criterion_8_lists())[:300] + _smooth_lists(100) + [CHEB, make_list([1, -5, 25])]:
         top = _reference_max_separation(a)
         assert separation_orders(a) == [k for k in range(2, top + 1) if _reference_witnesses(a, k)], a
     assert separation_orders(CHEB) == [2, 3, 5]

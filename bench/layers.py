@@ -1,17 +1,19 @@
 """Time the sum-zero enumeration, the classification and small-norm
 sweeps, the lower-bound table, the separation queries, the Landau scan,
 the integration norm, the list shape rules (make_list, classify_type,
-family_membership) and the in-process CLI on fixed inputs.
+family_membership), the in-process CLI on fixed inputs, and two fresh
+processes: perfbench's setup probe and one `norm` query through the CLI.
 
     python3 bench/layers.py [--against DIR]
 
 Runs each call of _calls() five times, each run in a fresh interpreter
 that imports ratio_lab from a checkout's src/, builds the call's inputs
-and then times the call alone.  It prints each call's median and fastest
-run, and writes the median, the fastest run (medians of five runs still
-moved 8-24 % on unchanged code), the runs and the largest peak RSS of
-those interpreters, with the machine (cores, Python, numpy), into
-BENCH_layers.json at the repository root.  With --against DIR, another
+and then times the call alone; the setup probe reports the seconds its
+own fresh interpreter took, as perfbench's does.  It prints each call's
+median and fastest run, and writes the median, the fastest run (medians
+of five runs still moved 8-24 % on unchanged code), the runs and the
+largest peak RSS of those interpreters, with the machine (cores,
+Python, numpy), into BENCH_layers.json at the repository root.  With --against DIR, another
 git checkout, it times DIR's src/ as well, alternating the two
 checkouts run by run and swapping which goes first, so that the
 machine's drift falls on both columns alike, and writes both columns.
@@ -41,12 +43,23 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNS = 5  # three runs could not tell unchanged calls apart
+# perfbench's setup probe: import the CLI and the searches, load every golden catalog
+SETUP_PROBE = (
+    "from time import perf_counter\n"
+    "start = perf_counter()\n"
+    "import ratio_lab.cli, ratio_lab.search as s\n"
+    "for name in s.GOLDEN_NAMES:\n"
+    "    s.load_golden(name)\n"
+    "print(perf_counter() - start)\n"
+)
+SETUP_CALL = "setup probe (fresh process, timed inside)"
 
 
 def _calls() -> tuple[dict, dict]:
     """(calls, inputs) for the ratio_lab first on sys.path: the timed calls
     by name, and for some of them the inputs they read, built before the
     timed run so that only the calls that read them pay for them."""
+    import ratio_lab
     from ratio_lab.bounds import build_table
     from ratio_lab.cli import run
     from ratio_lab.integrality import RatioSpec, family_membership, landau_min_max
@@ -136,6 +149,12 @@ def _calls() -> tuple[dict, dict]:
         with contextlib.redirect_stdout(io.StringIO()):
             return [run(["--format", "json", *argv]) for argv in argvs]
 
+    def fresh(*argv):
+        # stdout of a fresh interpreter that imports this ratio_lab
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ratio_lab.__file__)))
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, check=True).stdout
+
     chebyshev_1000 = RatioSpec(numerator=(30000, 1000), denominator=(15000, 10000, 6000))
     calls = {
         "sum_zero_divisor_lists(720, 3)": lambda: sum_zero_divisor_lists(720, 3),
@@ -168,6 +187,8 @@ def _calls() -> tuple[dict, dict]:
         "norm_by_integration(200 seeded lists)": lambda: [norm_by_integration(a) for a in seeded_lists()],
         "shape rules": shape_rules,
         "cli.run(12 certify-style queries)": cli_queries,
+        SETUP_CALL: lambda: float(fresh("-c", SETUP_PROBE)),
+        "ratio-lab --format json norm --list=4,-6,9 (whole process)": lambda: fresh("-m", "ratio_lab.cli", "--format", "json", "norm", "--list=4,-6,9"),
     }
     inputs = {
         "max_separation(criterion 8 triple box)": triple_box,
@@ -189,8 +210,8 @@ def _child(src: str, name: str) -> None:
     if name in inputs:
         inputs[name]()
     start = time.perf_counter()
-    calls[name]()
-    seconds = time.perf_counter() - start
+    out = calls[name]()
+    seconds = out if name == SETUP_CALL else time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps({"s": round(seconds, 4), "peak_rss_mb": round(peak, 1)}))
 

@@ -1,7 +1,10 @@
-"""Prime and divisor helpers shared by the other modules."""
+"""Prime and divisor helpers shared by the other modules, and the lazy
+import through which they load numpy."""
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from math import isqrt
 
 
@@ -56,3 +59,19 @@ def divisors(m: int, primes=None) -> list[int]:
         out = [d * p**j for d in out for j in range(k + 1)]
     assert m == 1, "a prime factor of m is missing from primes"
     return sorted(out)
+
+
+def lazy_import(name: str):
+    """The module `name`, run on its first attribute access rather than
+    now (importlib.util.LazyLoader); if it is already in sys.modules,
+    that module.  A missing module raises ModuleNotFoundError here."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
-from ratio_lab.arith import primes_upto
+from ratio_lab.arith import lazy_import, primes_upto
 from ratio_lab.lists import SignedList, make_list, norm
+
+np = lazy_import("numpy")  # loaded by the first kernel call
 
 __all__ = [
     "RatioSpec",

@@ -22,7 +22,9 @@ from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Iterator, Literal
 
-import numpy as np
+from ratio_lab.arith import lazy_import
+
+np = lazy_import("numpy")  # loaded by the first kernel call
 
 __all__ = [
     "SignedList",

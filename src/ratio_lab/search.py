@@ -48,12 +48,12 @@ from itertools import chain, combinations, combinations_with_replacement, produc
 from math import comb, gcd, prod
 from multiprocessing import Pool
 
-import numpy as np
-
-from ratio_lab.arith import divisors
+from ratio_lab.arith import divisors, lazy_import
 from ratio_lab.integrality import RatioSpec, family_membership, is_integral, norm_quarter_check
 from ratio_lab.lists import SignedList, classify_type, concat, make_list, norm, norm_by_integration, scale
 from ratio_lab.separation import forced_coefficients
+
+np = lazy_import("numpy")  # loaded by the first sweep
 
 __all__ = [
     "Catalog",
@@ -259,7 +259,6 @@ def _class_primes(elements) -> list[int]:
     return [p for p in (2, 3, 5, 7) if any(e % p == 0 for e in elements)]
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def _scan(sweep: _Sweep, part: int = 0, parts: int = 1) -> np.ndarray:
     """Float-prefilter one share of a sweep: its surviving live rows.
 
@@ -432,7 +431,9 @@ def _scan(sweep: _Sweep, part: int = 0, parts: int = 1) -> np.ndarray:
                             terms += [tabs[gi, m][i, k] for gi, i in zip(owner[lead:], hc[lead:] + ci) for m in groups[gi].mults]
                         else:
                             terms = [np.gcd(x, e).astype(np.float64) ** 2 / x for x in cols[:-1]]
-                        total += sum(terms) / e
+                        # e is 0 where the others sum to 0, a row _live_rows drops
+                        with np.errstate(divide="ignore", invalid="ignore"):
+                            total += sum(terms) / e
                     hit = np.flatnonzero(total / 6 <= bound + FLOAT_TOL)
                     if not len(hit):
                         continue

@@ -113,7 +113,8 @@ def _splits(a: SignedList):
             side = (0,) + rest
             other = tuple(i for i in range(1, n) if i not in rest)
             B, C = content(side), content(other)
-            if (len(side), [els[i] // B for i in side]) > (len(other), [els[i] // C for i in other]):
+            # the divided parts are built only to break a tie in length
+            if len(side) > len(other) or (len(side) == len(other) and [els[i] // B for i in side] > [els[i] // C for i in other]):
                 side, B, other, C = other, C, side, B
             yield side, B, other, C
 

@@ -9,6 +9,12 @@ from ratio_lab.cli import _build_parser, run
 from ratio_lab.lists import make_list, norm
 
 
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's ratio_lab."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr().out
@@ -83,8 +89,7 @@ def test_liouville_probe_cap_is_usage_error(capsys, k):
     ],
 )
 def test_closed_stdout_exits_quietly(argv):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env = _src_env()
     env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered, as it is by default on a pipe
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the first write
@@ -96,6 +101,45 @@ def test_closed_stdout_exits_quietly(argv):
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 141
+
+
+# what perfbench's setup probe does, then the commands that need no numpy
+# kernel; it prints the codes, the numpy submodules loaded by then, and
+# the results of two calls that do need a kernel
+_PURE_PYTHON_QUERIES = """
+import contextlib, io, json, sys
+import ratio_lab.cli as cli, ratio_lab.search as search
+from ratio_lab.lists import make_list, norm_by_integration
+for name in search.GOLDEN_NAMES:
+    search.load_golden(name)
+argvs = [
+    ["norm", "--list", "4,-6,9"],
+    ["involute", "--list", "4,-6,9"],
+    ["separate", "--list", "30,-15,-10,-6,1"],
+    ["separate", "--list", "30,-15,-10,-6,1", "--k", "5"],
+    ["liouville", "--N", "360"],
+    ["bounds", "--nmax", "20", "--rmax", "1"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(["--format", "json", *argv]) for argv in argvs]
+loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
+integration = str(norm_by_integration(make_list([4, -6, 9])))
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    check = cli.run(["--format", "json", "check", "--num", "30,1", "--den", "15,10,6"])
+print(json.dumps({"codes": codes, "loaded": loaded, "integration": integration, "check": [check, json.loads(out.getvalue())["integral"]]}))
+"""
+
+
+def test_pure_python_queries_never_load_numpy():
+    # numpy loads on the first kernel call: importing the package, loading
+    # the golden catalogs and the pure-Python commands leave it unloaded,
+    # and the kernels still run once it loads
+    proc = subprocess.run([sys.executable, "-c", _PURE_PYTHON_QUERIES], capture_output=True, text=True, env=_src_env(), check=True)
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0] * 6
+    assert got["loaded"] == []
+    assert got["integration"] == "43/216"
+    assert got["check"] == [0, True]
 
 
 def test_bounds_table(capsys):

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -290,6 +293,28 @@ def test_divisor_sweep_jobs_invariant(monkeypatch):
     one = keys(divisor_sweep_5(modulus=360))
     two = keys(divisor_sweep_5(modulus=360, jobs=2))
     assert one == two and one
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two jobs need two CPUs")
+def test_pool_workers_load_numpy_first():
+    # in a fresh interpreter numpy is not loaded when the sweep starts its
+    # pool, so the first numpy call is in the workers, and the parent loads
+    # numpy to unpickle their rows; the result is the one recorded for this
+    # call before numpy loaded lazily
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = (
+        "import json, sys\n"
+        "import ratio_lab.search as search\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
+        "at_pool, pool = [], search.Pool\n"
+        "search.Pool = lambda jobs: at_pool.append(loaded()) or pool(jobs)\n"
+        "lists = search.divisor_sweep_5(360, jobs=2)\n"
+        "print(json.dumps({'at_pool': at_pool, 'after': bool(loaded()), 'lists': repr([a.elements for a in lists])}))\n"
+    )
+    got = json.loads(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout)
+    assert got["at_pool"] == [[]] and got["after"]
+    assert hashlib.sha1(got["lists"].encode()).hexdigest()[:10] == "333cb129c3"
 
 
 def test_sum_zero_join_jobs_invariant(monkeypatch):

@@ -4,7 +4,7 @@ the integration norm, the list shape rules (make_list, classify_type,
 family_membership), the in-process CLI on fixed inputs, and two fresh
 processes: perfbench's setup probe and one `norm` query through the CLI.
 
-    python3 bench/layers.py [--against DIR]
+    python3 bench/layers.py [--against DIR | --digest]
 
 Runs each call of _calls() five times, each run in a fresh interpreter
 that imports ratio_lab from a checkout's src/, builds the call's inputs
@@ -20,12 +20,19 @@ machine's drift falls on both columns alike, and writes both columns.
 A column is named after its checkout: its short commit, with
 "+worktree" when src/ differs from that commit.  Columns already in the
 file are kept.
+
+With --digest it times nothing: it runs each call once in this
+interpreter, but for the two fresh-process ones, and prints
+"name: <first 10 hex digits of a sha1>", of the repr of the element
+tuples for a list of SignedList or a catalog, else of the repr of the
+result, so that two checkouts' outputs can be compared call by call.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -53,6 +60,7 @@ SETUP_PROBE = (
     "print(perf_counter() - start)\n"
 )
 SETUP_CALL = "setup probe (fresh process, timed inside)"
+WHOLE_PROCESS_CALL = "ratio-lab --format json norm --list=4,-6,9 (whole process)"
 
 
 def _calls() -> tuple[dict, dict]:
@@ -188,7 +196,7 @@ def _calls() -> tuple[dict, dict]:
         "shape rules": shape_rules,
         "cli.run(12 certify-style queries)": cli_queries,
         SETUP_CALL: lambda: float(fresh("-c", SETUP_PROBE)),
-        "ratio-lab --format json norm --list=4,-6,9 (whole process)": lambda: fresh("-m", "ratio_lab.cli", "--format", "json", "norm", "--list=4,-6,9"),
+        WHOLE_PROCESS_CALL: lambda: fresh("-m", "ratio_lab.cli", "--format", "json", "norm", "--list=4,-6,9"),
     }
     inputs = {
         "max_separation(criterion 8 triple box)": triple_box,
@@ -216,6 +224,16 @@ def _child(src: str, name: str) -> None:
     print(json.dumps({"s": round(seconds, 4), "peak_rss_mb": round(peak, 1)}))
 
 
+def _digest(out) -> str:
+    """The first 10 hex digits of the sha1 of a call's result: of the repr
+    of its element tuples for a list of SignedList or a catalog."""
+    if hasattr(out, "lists"):  # a Catalog
+        out = out.lists()
+    if isinstance(out, list) and all(hasattr(a, "elements") for a in out):
+        out = [a.elements for a in out]
+    return hashlib.sha1(repr(out).encode()).hexdigest()[:10]
+
+
 def _run(root: str, name: str) -> dict:
     cmd = [sys.executable, os.path.abspath(__file__), "--child", os.path.join(root, "src"), name]
     return json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
@@ -232,6 +250,7 @@ def _column(root: str) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="DIR", help="another git checkout, timed run by run in turn with this one")
+    parser.add_argument("--digest", action="store_true", help="print a sha1 prefix of each call's result instead of timing it")
     parser.add_argument("--child", nargs=2, metavar=("SRC", "NAME"), help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
@@ -239,6 +258,11 @@ def main() -> None:
         return
     sys.path.insert(0, os.path.join(ROOT, "src"))
     calls, _ = _calls()
+    if args.digest:
+        for name, call in calls.items():
+            if name not in (SETUP_CALL, WHOLE_PROCESS_CALL):
+                print(f"{name}: {_digest(call())}", flush=True)
+        return
     roots = [ROOT] + ([os.path.abspath(args.against)] if args.against else [])
     runs = {root: {name: [] for name in calls} for root in roots}
     for name in calls:

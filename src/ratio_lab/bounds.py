@@ -148,26 +148,17 @@ def g_nd_lower(table: BoundTable, n: int, d: int):
         return INFINITY
     if n > table.n_max:
         raise ValueError("table too small")
-    return _composition_min(table.g, n, d + 1, min_part=1)
+    return _composition_min((INFINITY,) + table.g[1:], n, d + 1)
 
 
-def _composition_min(values, n: int, parts: int, min_part: int):
-    # dp[t][m]: min sum over compositions of m into t parts, parts >= min_part
-    if n < parts * min_part:
-        return INFINITY
-    # t = 1
-    prev = [values[m] if m >= min_part else INFINITY for m in range(n + 1)]
-    for t in range(2, parts + 1):
-        cur = [INFINITY] * (n + 1)
-        for m in range(t * min_part, n + 1):
-            best = INFINITY
-            for i in range(min_part, m - (t - 1) * min_part + 1):
-                cand = prev[m - i] + values[i]
-                if cand < best:
-                    best = cand
-            cur[m] = best
-        prev = cur
-    return prev[n]
+def _composition_min(values, n: int, parts: int):
+    """Min over compositions of n into `parts` parts of the sum of
+    values[part], INFINITY at every excluded part size (0 among them):
+    each pass turns the row for t parts into the row for t + 1."""
+    row = values[: n + 1]
+    for _ in range(parts - 1):
+        row = [min((row[m - i] + values[i] for i in range(1, m)), default=INFINITY) for m in range(n + 1)]
+    return row[n]
 
 
 def g_tilde_lower(table: BoundTable, n: int, d: int):
@@ -179,15 +170,8 @@ def g_tilde_lower(table: BoundTable, n: int, d: int):
         raise ValueError("need n >= 2 and d >= 0")
     if n > table.n_max:
         raise ValueError("table too small")
-    base = [INFINITY] * (n + 1)
-    for ell in range(3, n + 1):
-        if ell % 2 == 1:
-            base[ell] = Fraction(1, 4)
-        else:
-            base[ell] = table.g[ell]
-    first = g_nd_lower(table, n, d + 1)
-    second = _composition_min(base, n, d + 1, min_part=3)
-    return min(first, second)
+    base = [INFINITY] * 3 + [Fraction(1, 4) if ell % 2 else table.g[ell] for ell in range(3, n + 1)]
+    return min(g_nd_lower(table, n, d + 1), _composition_min(base, n, d + 1))
 
 
 def max_length_for_D(table: BoundTable, D: int, *, use_g1: bool = False) -> int:

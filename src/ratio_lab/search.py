@@ -46,7 +46,6 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb, gcd, prod
-from multiprocessing import Pool
 
 from ratio_lab.arith import divisors, lazy_import
 from ratio_lab.integrality import RatioSpec, family_membership, is_integral, norm_quarter_check
@@ -262,21 +261,23 @@ def _class_primes(elements) -> list[int]:
 def _scan(sweep: _Sweep, part: int = 0, parts: int = 1) -> np.ndarray:
     """Float-prefilter one share of a sweep: its surviving live rows.
 
-    The tail's index rows are built once, in first index order, and
-    sorted once: by the key sum*n + first index (n values in the tail's
-    first group) if the row sums to zero, else stably by class (below).
-    A Python loop runs over the leading head parameters, the rows of
-    _index_rows in lexical order, every `parts`-th from `part` on, the
-    others forming numpy blocks.  In a sum-zero join (JOIN, whose last
-    element's support is a group of the sweep's own) each head takes one
-    searchsorted range of tail rows, sum -(head sum), first index from the
-    head's last on if both are of one group, so each multiset is reached
-    once; a block's heads look their ranges up in key order, so that each
-    binary search starts where the last one ended.  Other sweeps take one
-    head at a time, and its hits are a slice of the tail per class it is
-    compatible with, from its last index on if both are of one group,
-    read from a table of each class's first row at or after each first
-    index (gathering them in blocks made most of them 1.2-3.5 times
+    The tail's index rows are built once, in first index order, and sorted
+    once, stably, by one key K*n + first index: K is a row's sum in a join
+    and its class (below) otherwise, and n is the number of values in the
+    tail's first group if the head's last parameter is of that group, else
+    1 with no first index in the key.  A Python loop runs over the leading
+    head parameters, the rows of _index_rows in lexical order, every
+    `parts`-th from `part` on, the others forming numpy blocks.  In a
+    sum-zero join (JOIN, whose last element's support is a group of the
+    sweep's own) each head takes one searchsorted range of tail rows, sum
+    -(head sum), first index from the head's last on if both are of one
+    group, so each multiset is reached once; a block's heads look their
+    ranges up in key order, so that each binary search starts where the
+    last one ended.  Other sweeps take one head at a time, and its hits
+    are a slice of the tail per class it is compatible with, from its last
+    index j on if both are of one group: class c is the rows
+    begin[c*n + j]:begin[(c + 1)*n], begin[k] the first row of key >= k
+    (gathering the slices in blocks made most of them 1.2-3.5 times
     slower, BENCH_layers.json).
 
     Only primitive rows can be live, so rows whose elements one prime
@@ -322,14 +323,16 @@ def _scan(sweep: _Sweep, part: int = 0, parts: int = 1) -> np.ndarray:
     full = (1 << len(primes)) - 1  # the mask of every prime, and the class of no parameter
     bits = 1 << np.arange(len(primes))
     masks = [(((gcd(*g.mults) * v)[:, None] % primes == 0) @ bits).astype(np.uint8) for g, v in zip(groups, vals)]
+    weights = [sum(g.mults) * v for g, v in zip(groups, vals)]  # the element sum a value gives
     compatible = cache(lambda m: [c for c in range(full + 1) if not c & m])  # the classes a head mask joins
 
-    def sums(params, cols):
-        """Element sums of rows, for a join (one row for none)."""
-        total = np.zeros(len(cols[0]) if cols else 1, dtype=np.int64)
+    def fold(op, table, params, cols, start):
+        """op folded from start over the table entries of rows' parameters
+        (one row for none): weights give sums, masks classes."""
+        out = np.full(len(cols[0]) if cols else 1, start, dtype=table[0].dtype)
         for gi, i in zip(params, cols):
-            total += sum(groups[gi].mults) * vals[gi][i]
-        return total
+            op(out, table[gi][i], out=out)
+        return out
 
     def inner(params, cols):
         """Inner cross terms of rows, for a float bound (one row for none)."""
@@ -343,17 +346,10 @@ def _scan(sweep: _Sweep, part: int = 0, parts: int = 1) -> np.ndarray:
         cols = [v if m == 1 else m * v for gi, i in zip(owner, idx) for v in [vals[gi][i]] for m in groups[gi].mults]
         return cols + [-sum(cols)] if solved is True else cols
 
-    def classes(params, cols):
-        """The class of rows: the AND of their parameters' masks (one row for none)."""
-        out = np.full(len(cols[0]) if cols else 1, full, dtype=np.uint8)
-        for gi, i in zip(params, cols):
-            out &= masks[gi][i]
-        return out
-
     block_idx, rows = _index_rows(groups, block)
     after = 0 < lead < cut and owner[lead - 1] == owner[lead]  # block indices from the prefix's last on
     shared = 0 < cut < len(owner) and owner[cut - 1] == owner[cut]
-    n = len(vals[tail[0]]) if tail else 1
+    n = len(vals[tail[0]]) if shared else 1
     const = sweep.length / 2
     const += sum(gcd(m, mm) ** 2 / (m * mm) for gi in owner for m, mm in combinations(groups[gi].mults, 2))
     # a free solved element e takes gcd(x, e) with each other element x, from
@@ -370,26 +366,21 @@ def _scan(sweep: _Sweep, part: int = 0, parts: int = 1) -> np.ndarray:
         first = head_idx if lead else tail_idx
         even = first[0] % 2 == 0
         first[:] = [i[even] for i in first]
-    tail_cls = classes(tail, tail_idx)
-    # the tail rows sorted once, in place, by the join key, else by class (they are
-    # in first index order already); columns stay in their _combos type
-    if sum_zero:
-        key = sums(tail, tail_idx)
-        key *= n
-        key += tail_idx[0] if shared else 0
-        order = np.argsort(key, kind="stable")
-        key[:] = key[order]
-    else:
-        order = np.argsort(tail_cls, kind="stable")
-    for i in (*tail_idx, tail_cls):
+    tail_cls = fold(np.bitwise_and, masks, tail, tail_idx, full)
+    # the tail rows sorted once, in place, by the key K*n + first index, K the sum in
+    # a join, else the class (they are in first index order already); columns stay
+    # in their _combos type, and a class key in the smallest, so the sort is a radix sort
+    key = fold(np.add, weights, tail, tail_idx, 0) if sum_zero else tail_cls.astype(np.min_scalar_type((full + 1) * n))
+    key *= n
+    key += tail_idx[0] if shared else 0
+    order = np.argsort(key, kind="stable")
+    for i in (*tail_idx, tail_cls, key):
         i[:] = i[order]
     del order
     tail_inner = inner(tail, tail_idx)
-    if not sum_zero:  # class c is rows edges[c]:edges[c + 1], of first index >= j from starts[c][j] on
-        edges = np.searchsorted(tail_cls, np.arange(full + 2)).tolist()
-        starts = [(a + np.searchsorted(tail_idx[0][a:b], np.arange(n))).tolist() if shared else [a] for a, b in zip(edges, edges[1:])]
+    begin = None if sum_zero else np.searchsorted(key, np.arange((full + 2) * n)).tolist()
     heads = np.transpose(head_idx).tolist() if lead else [[]]
-    for hi, hm in list(zip(heads, classes(owner[:lead], head_idx).tolist()))[part::parts]:
+    for hi, hm in list(zip(heads, fold(np.bitwise_and, masks, owner[:lead], head_idx, full).tolist()))[part::parts]:
         psum = sum(sum(groups[gi].mults) * groups[gi].values[i] for gi, i in zip(owner, hi))
         # the rows of the cross-term and gcd tables that the leading parameters pick
         against = [sum(tables[owner[q], gq][hi[q]] for q in range(lead)) for gq in tail] if lead and bound is not None else []
@@ -400,14 +391,14 @@ def _scan(sweep: _Sweep, part: int = 0, parts: int = 1) -> np.ndarray:
                 base = inner(block, head[lead:])
                 base += const + sum(tables[owner[q], owner[r]][head[q]][head[r]] for q, r in combinations(range(cut), 2) if q < lead)
             if sum_zero:  # for each head, in key order, the tail rows of sum -(head sum)
-                at = (sums(block, head[lead:]) + psum) * -n
+                at = fold(np.add, weights, block, head[lead:], psum) * -n
                 h = np.argsort(at, kind="stable")
                 lo = np.searchsorted(key, (at + (head[-1] if shared else 0))[h])
                 hits = _joined(h, lo, np.searchsorted(key, at[h] + n))
-                hmask = hm & classes(block, head[lead:])
+                hmask = fold(np.bitwise_and, masks, block, head[lead:], hm)
             else:  # one head, and a slice of each compatible class from its last index on
                 j = hi[-1] if shared else 0
-                spans = [(starts[c][j], edges[c + 1]) for c in compatible(hm)]
+                spans = [(begin[c * n + j], begin[(c + 1) * n]) for c in compatible(hm)]
                 hits = (((), slice(c0, min(c0 + CHUNK, c1))) for a, c1 in spans for c0 in range(a, c1, CHUNK))
             for h, t in hits:
                 if sum_zero:  # only the hits of class 0
@@ -476,6 +467,7 @@ def _rows(sweep: _Sweep, jobs: int = 1) -> np.ndarray:
         raise ArithmeticError(f"float prefilter bound {err:.2e} is not below FLOAT_TOL {FLOAT_TOL:.2e}")
     if jobs == 1:
         return _scan(sweep)
+    from multiprocessing import Pool  # loaded only when a sweep is dealt to workers
     with Pool(jobs) as pool:
         return np.concatenate(pool.starmap(_scan, [(sweep, s, jobs) for s in range(jobs)]))
 

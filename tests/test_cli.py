@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -123,21 +124,23 @@ argvs = [
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.run(["--format", "json", *argv]) for argv in argvs]
 loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
+pool = "multiprocessing" in sys.modules
 integration = str(norm_by_integration(make_list([4, -6, 9])))
 with contextlib.redirect_stdout(io.StringIO()) as out:
     check = cli.run(["--format", "json", "check", "--num", "30,1", "--den", "15,10,6"])
-print(json.dumps({"codes": codes, "loaded": loaded, "integration": integration, "check": [check, json.loads(out.getvalue())["integral"]]}))
+print(json.dumps({"codes": codes, "loaded": loaded, "pool": pool, "integration": integration, "check": [check, json.loads(out.getvalue())["integral"]]}))
 """
 
 
 def test_pure_python_queries_never_load_numpy():
-    # numpy loads on the first kernel call: importing the package, loading
-    # the golden catalogs and the pure-Python commands leave it unloaded,
-    # and the kernels still run once it loads
+    # numpy loads on the first kernel call and multiprocessing only for a
+    # sweep dealt to workers: importing the package, loading the golden
+    # catalogs and the pure-Python commands leave both unloaded, and the
+    # kernels still run once numpy loads
     proc = subprocess.run([sys.executable, "-c", _PURE_PYTHON_QUERIES], capture_output=True, text=True, env=_src_env(), check=True)
     got = json.loads(proc.stdout)
     assert got["codes"] == [0] * 6
-    assert got["loaded"] == []
+    assert got["loaded"] == [] and not got["pool"]
     assert got["integration"] == "43/216"
     assert got["check"] == [0, True]
 
@@ -334,10 +337,8 @@ def _refuse_pool(*args, **kwargs):
 
 
 def test_classify_jobs_bounded_by_cpu_count(capsys, monkeypatch):
-    import ratio_lab.search
-
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(ratio_lab.search, "Pool", _refuse_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", _refuse_pool)
     for jobs in ("0", "-1", "3", "1000000"):
         assert run(["classify", "--length", "5", "--jobs", jobs]) == 2
         assert f"error: jobs must be between 1 and 2 (the number of CPUs), got {jobs}" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import random
 import re
@@ -304,11 +305,11 @@ def test_pool_workers_load_numpy_first():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     code = (
-        "import json, sys\n"
+        "import json, multiprocessing, sys\n"
         "import ratio_lab.search as search\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
-        "at_pool, pool = [], search.Pool\n"
-        "search.Pool = lambda jobs: at_pool.append(loaded()) or pool(jobs)\n"
+        "at_pool, pool = [], multiprocessing.Pool\n"
+        "multiprocessing.Pool = lambda jobs: at_pool.append(loaded()) or pool(jobs)\n"
         "lists = search.divisor_sweep_5(360, jobs=2)\n"
         "print(json.dumps({'at_pool': at_pool, 'after': bool(loaded()), 'lists': repr([a.elements for a in lists])}))\n"
     )
@@ -429,8 +430,10 @@ S858 = search._signed_divisors(2 * 3 * 11 * 13)
         ((search._Group(search._box(12), 3),), False, 300),
         ((search._Group(search._box(12), 3),), False, 100),
         ((search._Group(search._box(9), 1, (1, -2)), search._Group(search._box(10), 1, (1, -3))), True, search.TAIL_ROWS),
+        # lead 1 over 280 values: the tail key class*280 + first index needs 16 bits
+        ((search._Group(search._box(140), 2),), False, 1000),
     ],
-    ids=["join-858", "free-858-lead-1", "box-lead-0", "box-lead-1", "box-lead-2", "family-lead-0"],
+    ids=["join-858", "free-858-lead-1", "box-lead-0", "box-lead-1", "box-lead-2", "family-lead-0", "box-lead-1-16-bit-key"],
 )
 def test_prime_classes_drop_only_dead_rows(monkeypatch, groups, solved, tail_rows):
     # without a float bound _rows is every live row that starts negative (one
@@ -480,7 +483,7 @@ def _refuse(*args, **kwargs):
 
 def test_jobs_bounded_by_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(search, "Pool", _refuse)
+    monkeypatch.setattr(multiprocessing, "Pool", _refuse)
     monkeypatch.setattr(search, "_scan", _refuse)
     for jobs in (0, -1, 3, 10**6):
         with pytest.raises(ValueError, match=f"jobs must be between 1 and 2 \\(the number of CPUs\\), got {jobs}$"):

@@ -149,13 +149,15 @@ def _calls() -> tuple[dict, dict]:
     def cli_queries():
         # 12 queries as a certify round makes them in process: 4 norm, 4 check
         # (Chebyshev, a length-7 and a length-9 sporadic, one not integral) and
-        # 4 liouville --N, in JSON, with stdout sent to a buffer
+        # 4 liouville --N, in JSON, with stdout sent to a buffer; the exit codes
+        # and the captured stdout
         argvs = [["norm", "--list=" + a] for a in ("4,-6,9", "1,-6,-10,-15,30", "-1,2,3,-4,-6,-6,12", "137,-52,9,-181,77,23")]
         specs = (("30,1", "15,10,6"), ("4,5,30", "6,8,10,15"), ("4,6,9,24", "2,3,8,12,18"), ("2,3", "1,4"))
         argvs += [["check", "--num=" + num, "--den=" + den] for num, den in specs]
         argvs += [["liouville", "--N", str(n)] for n in range(20000, 20004)]
-        with contextlib.redirect_stdout(io.StringIO()):
-            return [run(["--format", "json", *argv]) for argv in argvs]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            codes = [run(["--format", "json", *argv]) for argv in argvs]
+        return codes, out.getvalue()
 
     def fresh(*argv):
         # stdout of a fresh interpreter that imports this ratio_lab

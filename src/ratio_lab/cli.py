@@ -11,8 +11,9 @@ is stable-ordered and round-trips through the emitting types.  classify
 all three length-7 sweeps, length 9) out to N worker processes; the
 length-5 family scan and the length-9 recombination run in the main
 process, and results are identical for any N from 1 to the number of
-CPUs.  separate without --k lists every k that has a witness, from the
-divisors of the split coefficients.  Each library function raises
+CPUs.  separate without --k lists every k that has a witness: the
+divisors > 1 of each split side's order |B| / gcd(B, lcm(c)), c the
+other side's primitive part.  Each library function raises
 ValueError on an input it does not take (the limits are in their
 docstrings), and that is a usage error, exit 2.
 """

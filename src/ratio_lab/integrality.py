@@ -187,7 +187,12 @@ def family_membership(a: SignedList) -> str:
     up to global sign) or 'sporadic'.  Every triple is [a+b, -a, -b] up
     to sign (one entry's sign is shared by no other), so 'family1'; a
     length-5 list is 'family2' or 'family3' when it matches [2a, 2b, -a,
-    -b, -(a+b)], a shape closed under negation, so one match decides."""
+    -b, -(a+b)], a shape closed under negation, so whether a list matches
+    does not depend on its sign.  The first match, a and then b running
+    up the negated elements, decides the tag: 'family2' if a and b share
+    a sign, else 'family3'.  A list can match both ways: [-1, 2, -3, -4, 6]
+    matches (-2, 3) first and (1, 3), so it is 'family3' and its negation
+    'family2'; up to sign it is the only such list with |a|, |b| <= 40."""
     if a.length % 2 == 0 or a.total != 0 or not a.is_primitive():
         raise ValueError("need a primitive odd-length sum-zero list")
     if a.length == 3:

@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Iterator, Literal
 
@@ -112,16 +113,9 @@ def norm(a: SignedList) -> Fraction:
     if a.length == 0:
         raise ValueError("norm of the empty list")
     els = a.elements
-    n = len(els)
     big = lcm(*els)
-    q = [big // ai for ai in els]
-    cross = 0
-    for i in range(n):
-        ai, qi = els[i], q[i]
-        for j in range(i + 1, n):
-            g = gcd(ai, els[j])
-            cross += g * g * qi * q[j]
-    return Fraction(n * big * big + 2 * cross, 12 * big * big)
+    cross = sum(gcd(x, y) ** 2 * (big // x) * (big // y) for x, y in combinations(els, 2))
+    return Fraction(len(els) * big * big + 2 * cross, 12 * big * big)
 
 
 def psi(x: Fraction) -> Fraction:

@@ -335,16 +335,16 @@ def _scan(sweep: _Sweep, part: int = 0, parts: int = 1) -> np.ndarray:
         return out
 
     def inner(params, cols):
-        """Inner cross terms of rows, for a float bound (one row for none)."""
-        out = np.zeros(len(cols[0]) if cols else 1)
-        for q, r in combinations(range(len(params)) if bound is not None else (), 2):
+        """Inner cross terms of rows of the given parameter indices, index
+        arrays or a head's scalars (one row if the last is a scalar)."""
+        out = np.zeros(len(cols[-1]) if cols and np.ndim(cols[-1]) else 1)
+        for q, r in combinations(range(len(params)), 2):
             out += tables[params[q], params[r]][cols[q], cols[r]]
         return out
 
     def columns(idx):
-        """The element columns of rows of the given parameter indices, then minus their sum if solved is True."""
-        cols = [v if m == 1 else m * v for gi, i in zip(owner, idx) for v in [vals[gi][i]] for m in groups[gi].mults]
-        return cols + [-sum(cols)] if solved is True else cols
+        """The element columns of rows of the given parameter indices."""
+        return [v if m == 1 else m * v for gi, i in zip(owner, idx) for v in [vals[gi][i]] for m in groups[gi].mults]
 
     block_idx, rows = _index_rows(groups, block)
     after = 0 < lead < cut and owner[lead - 1] == owner[lead]  # block indices from the prefix's last on
@@ -377,21 +377,20 @@ def _scan(sweep: _Sweep, part: int = 0, parts: int = 1) -> np.ndarray:
     for i in (*tail_idx, tail_cls, key):
         i[:] = i[order]
     del order
-    tail_inner = inner(tail, tail_idx)
+    tail_inner = inner(tail, tail_idx) if bound is not None else None
     begin = None if sum_zero else np.searchsorted(key, np.arange((full + 2) * n)).tolist()
     heads = np.transpose(head_idx).tolist() if lead else [[]]
-    for hi, hm in list(zip(heads, fold(np.bitwise_and, masks, owner[:lead], head_idx, full).tolist()))[part::parts]:
-        psum = sum(sum(groups[gi].mults) * groups[gi].values[i] for gi, i in zip(owner, hi))
-        # the rows of the cross-term and gcd tables that the leading parameters pick
+    hms = fold(np.bitwise_and, masks, owner[:lead], head_idx, full).tolist()
+    hsums = fold(np.add, weights, owner[:lead], head_idx, 0).tolist()
+    for hi, hm, hsum in list(zip(heads, hms, hsums))[part::parts]:
+        # the rows of the cross-term tables that the leading parameters pick
         against = [sum(tables[owner[q], gq][hi[q]] for q in range(lead)) for gq in tail] if lead and bound is not None else []
-        erows = [tabs[gi, m][i] for gi, i in zip(owner, hi) for m in groups[gi].mults] if gcds else []
         for s in range(int(np.searchsorted(block_idx[0], hi[-1])) if after else 0, rows, CHUNK):
             head = hi + [i[s : s + CHUNK] for i in block_idx]
             if bound is not None:
-                base = inner(block, head[lead:])
-                base += const + sum(tables[owner[q], owner[r]][head[q]][head[r]] for q, r in combinations(range(cut), 2) if q < lead)
+                base = const + inner(owner[:cut], head)
             if sum_zero:  # for each head, in key order, the tail rows of sum -(head sum)
-                at = fold(np.add, weights, block, head[lead:], psum) * -n
+                at = fold(np.add, weights, block, head[lead:], hsum) * -n
                 h = np.argsort(at, kind="stable")
                 lo = np.searchsorted(key, (at + (head[-1] if shared else 0))[h])
                 hits = _joined(h, lo, np.searchsorted(key, at[h] + n))
@@ -404,24 +403,22 @@ def _scan(sweep: _Sweep, part: int = 0, parts: int = 1) -> np.ndarray:
                 if sum_zero:  # only the hits of class 0
                     keep = (hmask[h] & tail_cls[t]) == 0
                     h, t = h[keep], t[keep]
-                hc = hi + [i[h].astype(np.intp) for i in head[lead:]]
-                ci = [i[t].astype(np.intp) for i in tail_idx]
-                width = len(ci[0]) if ci else 1
-                cols = columns(hc + ci) if solved is True else None  # e enters the float norm
+                idx = hi + [i[h].astype(np.intp) for i in head[lead:]] + [i[t].astype(np.intp) for i in tail_idx]
+                # a free solved element: minus the row's weight sum
+                free = [-fold(np.add, weights, owner[lead:], idx[lead:], hsum)] if solved is True else []
                 if bound is not None:
                     total = base[h] + tail_inner[t]
-                    for row, i in zip(against, ci):
+                    for row, i in zip(against, idx[cut:]):
                         total += row[i]
-                    for q, r in product(range(lead, cut), range(len(tail))):
-                        total += tables[owner[q], tail[r]][hc[q], ci[r]]
-                    if solved is True:  # the terms of e
-                        e = cols[-1]
+                    for q, r in product(range(lead, cut), range(cut, len(owner))):
+                        total += tables[owner[q], owner[r]][idx[q], idx[r]]
+                    if free:  # the terms of e
+                        e = free[0]
                         if gcds:
                             k = slot[e % top]
-                            terms = [row[k] for row in erows]
-                            terms += [tabs[gi, m][i, k] for gi, i in zip(owner[lead:], hc[lead:] + ci) for m in groups[gi].mults]
+                            terms = [tabs[gi, m][i, k] for gi, i in zip(owner, idx) for m in groups[gi].mults]
                         else:
-                            terms = [np.gcd(x, e).astype(np.float64) ** 2 / x for x in cols[:-1]]
+                            terms = [np.gcd(x, e).astype(np.float64) ** 2 / x for x in columns(idx)]
                         # e is 0 where the others sum to 0, a row _live_rows drops
                         with np.errstate(divide="ignore", invalid="ignore"):
                             total += sum(terms) / e
@@ -429,13 +426,13 @@ def _scan(sweep: _Sweep, part: int = 0, parts: int = 1) -> np.ndarray:
                     if not len(hit):
                         continue
                     # only the hits' element columns are built; head scalars stay
-                    hc, ci, width = hi + [i[hit] for i in hc[lead:]], [i[hit] for i in ci], len(hit)
-                    cols = cols and [x[hit] if np.ndim(x) else x for x in cols]
-                found = np.empty((width, sweep.length), dtype=np.int64)
-                for q, x in enumerate(cols or columns(hc + ci)):
+                    idx, free = hi + [i[hit] for i in idx[lead:]], [e[hit] for e in free]
+                cols = columns(idx) + free
+                found = np.empty((np.broadcast(*cols).size, sweep.length), dtype=np.int64)
+                for q, x in enumerate(cols):
                     found[:, q] = x
                 pending.append(found)
-                held += width
+                held += len(found)
                 if held >= CHUNK:  # one _live_rows call per about CHUNK float hits
                     out.append(_live(pending))
                     pending, held = [empty], 0
@@ -444,14 +441,15 @@ def _scan(sweep: _Sweep, part: int = 0, parts: int = 1) -> np.ndarray:
 
 def _rows(sweep: _Sweep, jobs: int = 1) -> np.ndarray:
     """Every row of a sweep that passes the float bound and _live_rows, with
-    _scan's prefix loop sharded over `jobs` processes.  First check that
-    int64 holds a sum of length - 1 elements times n, plus n (n = 1, or
-    for a sum-zero join key the support size), and that a float bound t is
-    sound: elements exact in float64 (the solved one is at most `length`
-    times the largest), and the error bound plus the roundings of t and
-    of t + FLOAT_TOL, 2u(1 + |t|), below FLOAT_TOL.  Before all that,
-    `jobs` outside 1..os.cpu_count() raises ValueError, so a refused pool
-    never starts.  A group without values gives no rows."""
+    _scan's prefix loop sharded over `jobs` processes, in lexicographic
+    order: one sort after the shares are joined, so any `jobs` gives the
+    same array.  First check that int64 holds a sum of length - 1 elements
+    times n, plus n (n = 1, or for a sum-zero join key the support size),
+    and that a float bound t is sound: elements exact in float64 (the solved
+    one is at most `length` times the largest), and the error bound plus the
+    roundings of t and of t + FLOAT_TOL, 2u(1 + |t|), below FLOAT_TOL.
+    Before all that, `jobs` outside 1..os.cpu_count() raises ValueError, so
+    a refused pool never starts.  A group without values gives no rows."""
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         raise ValueError(f"jobs must be between 1 and {cpus} (the number of CPUs), got {jobs}")
@@ -466,25 +464,26 @@ def _rows(sweep: _Sweep, jobs: int = 1) -> np.ndarray:
     if sweep.bound is not None and (length * biggest >= 2**53 or not err < FLOAT_TOL):
         raise ArithmeticError(f"float prefilter bound {err:.2e} is not below FLOAT_TOL {FLOAT_TOL:.2e}")
     if jobs == 1:
-        return _scan(sweep)
-    from multiprocessing import Pool  # loaded only when a sweep is dealt to workers
-    with Pool(jobs) as pool:
-        return np.concatenate(pool.starmap(_scan, [(sweep, s, jobs) for s in range(jobs)]))
+        rows = _scan(sweep)
+    else:
+        from multiprocessing import Pool  # loaded only when a sweep is dealt to workers
+        with Pool(jobs) as pool:
+            rows = np.concatenate(pool.starmap(_scan, [(sweep, s, jobs) for s in range(jobs)]))
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def _confirm(sweep: _Sweep, keep, jobs: int = 1) -> list[SignedList]:
-    """The exact step: build each row of the sweep (_rows) in sorted order
-    (they are distinct: _scan reaches each index multiset once, in disjoint
-    `jobs` shares), take the first of each +- pair (_dedup), and keep the
-    lists passing `keep`.  `keep` runs once per pair, so it must give a
-    list and its negation the same answer, as every `keep` here does: the
-    norm tests and cutoffs, classify_type and family_membership.  A +-
+    """The exact step: build each row of the sweep (_rows, in lexicographic
+    order; they are distinct: _scan reaches each index multiset once, in
+    disjoint `jobs` shares), take the first of each +- pair (_dedup), and
+    keep the lists passing `keep`.  `keep` runs once per pair, so it must
+    give a list and its negation the same answer, as every `keep` here does:
+    the norm tests and cutoffs, classify_type and family_membership.  A +-
     paired sweep visits only the rows that start negative (_scan): the
-    negation of a row that starts positive is a row that starts negative,
-    so the smallest row of each pair key is visited and _dedup keeps the
-    list it kept when every row was visited."""
-    rows = sorted(map(tuple, _rows(sweep, jobs).tolist()))
-    return [a for a in _dedup(map(make_list, rows)) if keep(a)]
+    negation of a row that starts positive is a row that starts negative, so
+    the smallest row of each pair key is visited and _dedup keeps the list
+    it kept when every row was visited."""
+    return [a for a in _dedup(map(make_list, _rows(sweep, jobs).tolist())) if keep(a)]
 
 
 def _is_quarter(a: SignedList) -> bool:
@@ -531,7 +530,6 @@ def sum_zero_divisor_lists(modulus: int, length: int) -> list[SignedList]:
     if length < 2 or length > 7:
         raise ValueError("supported lengths: 2..7")
     rows = _rows(_Sweep((_Group(_signed_divisors(modulus), length),), None, JOIN))
-    rows = rows[np.lexsort(rows.T[::-1])]
     return [SignedList(tuple(t)) for c in range(0, len(rows), CHUNK) for t in rows[c : c + CHUNK].tolist()]
 
 

@@ -273,6 +273,10 @@ def test_family_membership():
     assert family_membership(make_list([4, 6, -2, -3, -5])) == "family2"
     assert family_membership(make_list([6, 1, -3, -2, -2])) == "family3"
     assert family_membership(make_list([1, -6, -10, -15, 30])) == "sporadic"
+    # in both families: the first match in candidate order, (-2, 3), tags it,
+    # and its negation first matches (-3, -1)
+    assert family_membership(make_list([-1, 2, -3, -4, 6])) == "family3"
+    assert family_membership(make_list([1, -2, 3, 4, -6])) == "family2"
 
 
 def _match_type_a_family(values):

@@ -288,12 +288,14 @@ def test_sweep_int64_limits():
 
 
 def test_divisor_sweep_jobs_invariant(monkeypatch):
-    # tiny modulus: sharding must not change the result set; the pinned
-    # CPU count allows two jobs on a one-CPU machine too
+    # tiny modulus: sharding must not change the rows, nor their
+    # lexicographic order, nor the result set; the pinned CPU count allows
+    # two jobs on a one-CPU machine too
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    one = keys(divisor_sweep_5(modulus=360))
-    two = keys(divisor_sweep_5(modulus=360, jobs=2))
-    assert one == two and one
+    sweep = search._Sweep((search._Group(search._signed_divisors(360), 4),), 0.25, True)
+    one = search._rows(sweep, 1).tolist()
+    assert one and one == sorted(one) and search._rows(sweep, 2).tolist() == one
+    assert keys(divisor_sweep_5(modulus=360)) == keys(divisor_sweep_5(modulus=360, jobs=2))
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two jobs need two CPUs")
@@ -322,8 +324,8 @@ def test_sum_zero_join_jobs_invariant(monkeypatch):
     # the join shards its loop over the first head parameter
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     sweep = _sum_zero_sweep(720, 7, None)
-    one = sorted(map(tuple, search._rows(sweep, 1).tolist()))
-    assert sorted(map(tuple, search._rows(sweep, 2).tolist())) == one and one
+    one = search._rows(sweep, 1).tolist()
+    assert one and one == sorted(one) and search._rows(sweep, 2).tolist() == one
 
 
 def test_head_deal_jobs_invariant(monkeypatch):

@@ -1,8 +1,9 @@
-"""Time the sum-zero enumeration, the classification and small-norm
-sweeps, the lower-bound table, the separation queries, the Landau scan,
-the integration norm, the list shape rules (make_list, classify_type,
-family_membership), the in-process CLI on fixed inputs, and two fresh
-processes: perfbench's setup probe and one `norm` query through the CLI.
+"""Time the sum-zero enumeration and its norms, the classification and
+small-norm sweeps, the lower-bound table, the separation queries, the
+Landau scan, the integration norm, the list shape rules (make_list,
+classify_type, family_membership), the in-process CLI on fixed inputs,
+and two fresh processes: perfbench's setup probe and one `norm` query
+through the CLI.
 
     python3 bench/layers.py [--against DIR | --digest]
 
@@ -71,7 +72,7 @@ def _calls() -> tuple[dict, dict]:
     from ratio_lab.bounds import build_table
     from ratio_lab.cli import run
     from ratio_lab.integrality import RatioSpec, family_membership, landau_min_max
-    from ratio_lab.lists import classify_type, make_list, norm_by_integration
+    from ratio_lab.lists import classify_type, make_list, norm, norm_by_integration
     from ratio_lab.search import (
         GOLDEN_NAMES,
         _type_a3_sweep_7,
@@ -174,6 +175,7 @@ def _calls() -> tuple[dict, dict]:
         "sum_zero_divisor_lists(720, 7)": lambda: sum_zero_divisor_lists(720, 7),
         "sum_zero_divisor_lists(1728, 7)": lambda: sum_zero_divisor_lists(1728, 7),
         "sum_zero_divisor_lists(248832, 7)": lambda: sum_zero_divisor_lists(248832, 7),
+        "norms of sum_zero_divisor_lists(432, 7)": lambda: [norm(a) for a in sum_zero_divisor_lists(432, 7)],
         "divisor_sweep_5(1800)": lambda: divisor_sweep_5(1800),
         "divisor_sweep_5()": lambda: divisor_sweep_5(),
         "_type_b_sweep_7()": lambda: _type_b_sweep_7(),

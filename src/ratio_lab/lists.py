@@ -7,7 +7,10 @@ a(x) = sum_j psi(a_j x) with psi(t) = 1/2 - {t}, and the norm
 
 Lists are kept canonical (ascending |value|) and non-degenerate (no value
 appears together with its negative).  All arithmetic is exact, via
-fractions.Fraction.
+fractions.Fraction.  A list may carry its exact norm, `known_norm`, which
+norm() returns as it is: search.sum_zero_divisor_lists sets it for the
+lists it enumerates, from one integer pass over all of them; make_list,
+and so every other list, leaves it None.
 
 Reference norms: N([1,-2]) = 1/12, N([1,-2,4]) = 1/8, N([4,-6,9]) = 43/216,
 N([1,-2,-3,6]) = 1/9, N([1,-6,-10,-15,30]) = 1/4.
@@ -16,7 +19,7 @@ N([1,-2,-3,6]) = 1/9, N([1,-6,-10,-15,30]) = 1/4.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -46,9 +49,13 @@ HALF = Fraction(1, 2)
 @dataclass(frozen=True, slots=True)
 class SignedList:
     """Immutable canonical non-degenerate list of nonzero integers; callers
-    go through make_list, which cancels and sorts."""
+    go through make_list, which cancels and sorts.  `known_norm` is N(a)
+    when its builder already has it exactly (only
+    search.sum_zero_divisor_lists sets it; make_list never does); it takes
+    no part in equality, hashing or repr."""
 
     elements: tuple[int, ...]
+    known_norm: Fraction | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -109,7 +116,10 @@ def norm(a: SignedList) -> Fraction:
         N = (n L^2 + 2 sum_{i<j} gcd(a_i, a_j)^2 (L/a_i)(L/a_j)) / (12 L^2)
 
     and only the final quotient is a Fraction; the empty list raises ValueError.
+    A list's known_norm, when its builder set one, is returned as it is.
     """
+    if a.known_norm is not None:
+        return a.known_norm
     if a.length == 0:
         raise ValueError("norm of the empty list")
     els = a.elements

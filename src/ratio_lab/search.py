@@ -526,11 +526,39 @@ def sum_zero_divisor_lists(modulus: int, length: int) -> list[SignedList]:
     join gives each multiset once, in support order, which is canonical
     order, and the support is +- paired, so it visits only the member of
     each multiset and its negation that starts negative (_scan): its own
-    canonical_pair_key, which becomes a SignedList directly."""
+    canonical_pair_key, which becomes a SignedList directly.
+
+    Each list carries its exact norm (SignedList.known_norm).  Every
+    element divides top = |modulus|, so norm's integer sum can be taken
+    over top in place of the lcm:
+
+        N = (n top^2 + 2 sum_{i<j} gcd(x_i, x_j)^2 (top/x_i)(top/x_j)) / (12 top^2),
+
+    one int64 pass, a CHUNK of rows and a column pair at a time, and one
+    Fraction per distinct numerator, shared by the whole call.  int64
+    holds it while (n top)^2 < 2^63: gcd(x_i, x_j) <= min(|x_i|, |x_j|),
+    so g^2 |top/x_i| |top/x_j| <= top^2, and so is each product on the
+    way to it; the cross sum of C(n, 2) such terms and the numerator
+    n top^2 + 2 cross are then at most n^2 top^2, as is every partial
+    sum.  Past that bound the lists carry no norm, and norm() computes it."""
     if length < 2 or length > 7:
         raise ValueError("supported lengths: 2..7")
     rows = _rows(_Sweep((_Group(_signed_divisors(modulus), length),), None, JOIN))
-    return [SignedList(tuple(t)) for c in range(0, len(rows), CHUNK) for t in rows[c : c + CHUNK].tolist()]
+    top = abs(modulus)
+    if (length * top) ** 2 >= 2**63:
+        return [SignedList(tuple(t)) for c in range(0, len(rows), CHUNK) for t in rows[c : c + CHUNK].tolist()]
+    lists, shared = [], {}  # shared: numerator -> its Fraction
+    for c in range(0, len(rows), CHUNK):
+        r = rows[c : c + CHUNK]
+        co = top // r
+        cross = np.zeros(len(r), dtype=np.int64)
+        for i, j in combinations(range(length), 2):
+            g = np.gcd(r[:, i], r[:, j])
+            cross += g * g * co[:, i] * co[:, j]
+        num = (length * top * top + 2 * cross).tolist()
+        shared.update((v, Fraction(v, 12 * top * top)) for v in set(num).difference(shared))
+        lists += map(SignedList, map(tuple, r.tolist()), map(shared.__getitem__, num))
+    return lists
 
 
 # ---------------------------------------------------------------------------

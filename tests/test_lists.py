@@ -1,3 +1,4 @@
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -327,6 +328,19 @@ def test_pair_norm_closed_form():
             if gcd(a, abs(b)) != 1:
                 continue
             assert norm(make_list([a, b])) == F(1, 6) * (1 + F(1, a * b))
+
+
+def test_known_norm_leaves_value_semantics():
+    # a carried norm takes no part in equality, hashing or repr, and only its
+    # builder sets it: every list made through make_list starts without one
+    e = (-1, -2, 3)
+    a = SignedList(e, F(1, 4))
+    assert a == SignedList(e) and hash(a) == hash(SignedList(e)) and repr(a) == repr(SignedList(e))
+    assert make_list(e).known_norm is None
+    assert all(b.known_norm is None for b in (a.negate(), scale(a, 3), involute(a), concat(a, a)))
+    assert pickle.loads(pickle.dumps(a)).known_norm == F(1, 4)
+    # norm returns a carried norm as it is, without the gcd sum
+    assert norm(SignedList(e, F(7))) == F(7)
 
 
 def test_json_round_trip():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -194,6 +195,44 @@ def test_sum_zero_divisor_lists_are_canonical(modulus, length):
         assert a == make_list(a.elements)
         assert a.elements == canonical_pair_key(a)
         assert all(type(v) is int for v in a.elements)
+
+
+@pytest.mark.parametrize("modulus, length", [(432, 7), (720, 5), (1728, 7), (720, 3), (30, 6)])
+def test_sum_zero_lists_carry_exact_norms(modulus, length):
+    # the bulk int64 norms equal the scalar gcd sum of a fresh make_list
+    lists = sum_zero_divisor_lists(modulus, length)
+    assert lists
+    for a in lists:
+        assert a.known_norm is not None
+        assert a.known_norm == norm(make_list(a.elements)), a
+
+
+def test_sum_zero_lists_without_rows():
+    assert sum_zero_divisor_lists(12, 2) == []
+
+
+def _largest_prime_below(n):
+    p = n - 1
+    while any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        p -= 1
+    return p
+
+
+def test_sum_zero_norms_int64_bound():
+    # past (length * top)^2 < 2^63 the lists carry no norm, and norm() computes it
+    past = sum_zero_divisor_lists(6 * 1_000_000_007, 3)
+    assert [a.elements for a in past] == [(-1, -2, 3), (-1, -1, 2)]
+    assert all(a.known_norm is None and norm(a) == F(1, 4) for a in past)
+    # just below it, with (length * top)^2 above 2^62, the int64 pass is exact:
+    # over 2p the one list [-1, -1, 2], over 6p length-6 lists that mix
+    # p-sized elements with small ones
+    for k, length in ((2, 3), (6, 6)):
+        p = _largest_prime_below(isqrt(2**63 - 1) // (length * k) + 1)
+        assert 2**62 < (length * k * p) ** 2 < 2**63
+        below = sum_zero_divisor_lists(k * p, length)
+        assert below
+        for a in below:
+            assert a.known_norm is not None and a.known_norm == norm(make_list(a.elements)), a
 
 
 def test_canonical_pair_key_is_the_smaller_of_the_pair():

@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
+# norm's cap on the pair count times the sum of the entries' bit lengths
+NORM_WORK_CAP = 10**10
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,12 +119,23 @@ def norm(a: SignedList) -> Fraction:
 
     and only the final quotient is a Fraction; the empty list raises ValueError.
     A list's known_norm, when its builder set one, is returned as it is.
+
+    Otherwise the work is bounded first.  Each of the n(n-1)/2 pair
+    terms is a product of numbers up to L, and L has at most B bits, B
+    the sum of the entries' bit lengths, so n(n-1)/2 * B estimates the
+    work without forming L (lcm(1..20000) alone takes 0.14 s).  An
+    estimate above NORM_WORK_CAP = 10^10 raises ValueError: 1..1000
+    (4.5*10^9, about 1.5 s on a 2-core machine) answers, 1..1300 does
+    not.
     """
     if a.known_norm is not None:
         return a.known_norm
     if a.length == 0:
         raise ValueError("norm of the empty list")
     els = a.elements
+    work = len(els) * (len(els) - 1) // 2 * sum(map(int.bit_length, els))
+    if work > NORM_WORK_CAP:
+        raise ValueError(f"norm work estimate {work} (pairs times the sum of the entries' bit lengths) is above the cap of 10^10")
     big = lcm(*els)
     cross = sum(gcd(x, y) ** 2 * (big // x) * (big // y) for x, y in combinations(els, 2))
     return Fraction(len(els) * big * big + 2 * cross, 12 * big * big)

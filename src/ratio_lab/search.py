@@ -38,13 +38,14 @@ that the error bound of `_prefilter_error` is below FLOAT_TOL.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import combinations, product
 from math import comb, gcd, prod
 
 from ratio_lab.arith import divisors, lazy_import
@@ -179,25 +180,56 @@ def _prefilter_error(length: int) -> float:
     return j * 2.0**-53 / (1 - j * 2.0**-53) * length**2 / 12
 
 
+def _paired(values) -> bool:
+    """Whether values are laid out in (-d, d) pairs, as _signed_divisors
+    and _box lay them out: negation then maps index i to i^1."""
+    return len(values) % 2 == 0 and all(v < 0 and w == -v for v, w in zip(values[0::2], values[1::2]))
+
+
 def _combos(n: int, k: int) -> np.ndarray:
-    """The non-decreasing k-tuples of indices below n, in lexical order, in
-    the smallest unsigned type that holds them."""
-    flat = chain.from_iterable(combinations_with_replacement(range(n), k))
-    return np.fromiter(flat, dtype=np.min_scalar_type(n), count=comb(n + k - 1, k) * k).reshape(-1, k)
+    """The non-decreasing k-tuples of indices below n (n, k >= 1), in lexical
+    order, in the smallest unsigned type that holds them.  They are built
+    a level at a time from the (k-1)-tuples, which are sorted by their
+    first index: first index i goes before the suffix of those that start
+    at i or later.  One searchsorted finds the suffixes, one repeat writes
+    the first column and one concatenate of the suffix views the rest,
+    into the level's one array (an index array for the gather took 3
+    times as long and 2-5 times the memory of the result)."""
+    first = np.arange(n, dtype=np.min_scalar_type(n))
+    rows = first[:, None]
+    for _ in range(k - 1):
+        start = np.searchsorted(rows[:, 0], first)
+        counts = len(rows) - start
+        out = np.empty((counts.sum(), rows.shape[1] + 1), dtype=first.dtype)
+        out[:, 0] = np.repeat(first, counts)
+        np.concatenate([rows[s:] for s in start.tolist()], out=out[:, 1:])
+        rows = out
+    return rows
 
 
 def _cross(x: _Group, y: _Group) -> np.ndarray:
     """T[i, j]: the cross terms between parameters x.values[i], y.values[j],
-    built about CHUNK entries at a time, which bounds the temporaries."""
-    xv, yv = np.array(x.values)[:, None], np.array(y.values)[None, :]
+    built about CHUNK entries at a time, which bounds the temporaries.  On
+    a _paired axis only the +d values take gcds: gcd ignores signs, so the
+    -d row or column is the +d one negated, written in place.  A sign flip
+    is exact, and 0 - t turns a sum of 0, +0.0, into +0.0 as the full
+    grid's sum is, so every entry has the bits the full grid gives it."""
+    px, py = _paired(x.values), _paired(y.values)
     out = np.zeros((len(x.values), len(y.values)))
-    step = 1 + CHUNK // len(y.values)
-    for r, (m, mm) in product(range(0, len(x.values), step), product(x.mults, y.mults)):
+    sx, sy = (slice(1, None, 2) if p else slice(None) for p in (px, py))  # the values that take gcds
+    xv, yv = np.array(x.values[sx])[:, None], np.array(y.values[sy])[None, :]
+    part = out[sx, sy]
+    step = 1 + CHUNK // yv.shape[1]
+    for r, (m, mm) in product(range(0, len(xv), step), product(x.mults, y.mults)):
         g = np.gcd(m * xv[r : r + step], mm * yv).astype(np.float64)
         g *= g
         g /= m * xv[r : r + step]
         g /= mm * yv
-        out[r : r + step] += g
+        part[r : r + step] += g
+    if px:  # the -d rows, then the -d columns of every row
+        np.subtract(0, out[1::2, sy], out=out[0::2, sy])
+    if py:
+        np.subtract(0, out[:, 1::2], out=out[:, 0::2])
     return out
 
 
@@ -295,17 +327,16 @@ def _scan(sweep: _Sweep, part: int = 0, parts: int = 1) -> np.ndarray:
     is minus the sum of the others, so a prime dividing them all divides
     it.  Larger primes are ignored, so _live_rows stays the exact gate.
 
-    A sweep is +- paired when every group's values are (-d, d) pairs and
-    group 0's first multiple is positive, as _signed_divisors and _box
-    lay them out.  Negation then maps index i to i^1 in every group and
-    the float bound keeps a row exactly when it keeps its negation, so of
-    each live row and its negation exactly one has an even first index (a
-    row with both i and i^1 holds d and -d and is not live), and only
-    those rows are visited.  One mask, before
-    any sums, keeps them: on the heads, before the deal to the shares, or
-    with no head parameter (lead 0) on the tail rows.  Each kept row
-    starts negative, so it is the smaller of its pair.  Negation keeps a
-    row's class, so the two rules compose."""
+    A sweep is +- paired when every group's values are _paired and group
+    0's first multiple is positive.  Negation then maps index i to i^1 in
+    every group and the float bound keeps a row exactly when it keeps its
+    negation, so of each live row and its negation exactly one has an
+    even first index (a row with both i and i^1 holds d and -d and is not
+    live), and only those rows are visited.  One mask, before any sums,
+    keeps them: on the heads, before the deal to the shares, or with no
+    head parameter (lead 0) on the tail rows.  Each kept row starts
+    negative, so it is the smaller of its pair.  Negation keeps a row's
+    class, so the two rules compose."""
     groups, solved, bound = sweep.groups, sweep.solved, sweep.bound
     owner = [gi for gi, g in enumerate(groups) for _ in range(g.count)]  # group of each parameter
     sum_zero = solved == JOIN
@@ -362,7 +393,7 @@ def _scan(sweep: _Sweep, part: int = 0, parts: int = 1) -> np.ndarray:
     head_idx, _ = _index_rows(groups, owner[:lead])
     tail_idx, _ = _index_rows(groups, tail)
     # a +- paired layout (see above): only even first indices of parameter 0 are visited
-    if groups[0].mults[0] > 0 and all(len(v) % 2 == 0 and (v[0::2] < 0).all() and (v[1::2] == -v[0::2]).all() for v in vals):
+    if groups[0].mults[0] > 0 and all(_paired(g.values) for g in groups):
         first = head_idx if lead else tail_idx
         even = first[0] % 2 == 0
         first[:] = [i[even] for i in first]
@@ -540,25 +571,39 @@ def sum_zero_divisor_lists(modulus: int, length: int) -> list[SignedList]:
     so g^2 |top/x_i| |top/x_j| <= top^2, and so is each product on the
     way to it; the cross sum of C(n, 2) such terms and the numerator
     n top^2 + 2 cross are then at most n^2 top^2, as is every partial
-    sum.  Past that bound the lists carry no norm, and norm() computes it."""
+    sum.  Past that bound the lists carry no norm, and norm() computes it.
+
+    The list builds run with Python's cyclic garbage collector paused
+    (and turned back on after, if it was on).  What they make, each
+    SignedList and its tuple of ints, its Fraction of ints, and the list
+    and dict that gather them, refers to no object that refers back to
+    it, so none of it can be in a reference cycle; the collector's
+    passes, run every few hundred allocations over ever more objects,
+    could free nothing, and reference counting still frees it all."""
     if length < 2 or length > 7:
         raise ValueError("supported lengths: 2..7")
     rows = _rows(_Sweep((_Group(_signed_divisors(modulus), length),), None, JOIN))
     top = abs(modulus)
-    if (length * top) ** 2 >= 2**63:
-        return [SignedList(tuple(t)) for c in range(0, len(rows), CHUNK) for t in rows[c : c + CHUNK].tolist()]
-    lists, shared = [], {}  # shared: numerator -> its Fraction
-    for c in range(0, len(rows), CHUNK):
-        r = rows[c : c + CHUNK]
-        co = top // r
-        cross = np.zeros(len(r), dtype=np.int64)
-        for i, j in combinations(range(length), 2):
-            g = np.gcd(r[:, i], r[:, j])
-            cross += g * g * co[:, i] * co[:, j]
-        num = (length * top * top + 2 * cross).tolist()
-        shared.update((v, Fraction(v, 12 * top * top)) for v in set(num).difference(shared))
-        lists += map(SignedList, map(tuple, r.tolist()), map(shared.__getitem__, num))
-    return lists
+    enabled = gc.isenabled()
+    gc.disable()  # the builds below make no cycle (see above)
+    try:
+        if (length * top) ** 2 >= 2**63:
+            return [SignedList(tuple(t)) for c in range(0, len(rows), CHUNK) for t in rows[c : c + CHUNK].tolist()]
+        lists, shared = [], {}  # shared: numerator -> its Fraction
+        for c in range(0, len(rows), CHUNK):
+            r = rows[c : c + CHUNK]
+            co = top // r
+            cross = np.zeros(len(r), dtype=np.int64)
+            for i, j in combinations(range(length), 2):
+                g = np.gcd(r[:, i], r[:, j])
+                cross += g * g * co[:, i] * co[:, j]
+            num = (length * top * top + 2 * cross).tolist()
+            shared.update((v, Fraction(v, 12 * top * top)) for v in set(num).difference(shared))
+            lists += map(SignedList, map(tuple, r.tolist()), map(shared.__getitem__, num))
+        return lists
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

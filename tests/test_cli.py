@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -217,6 +218,21 @@ def test_involute(capsys):
     data = json.loads(out)
     assert data["involute"] == ["-1"]  # psi(2x)-psi(x) shift; same norm 1/12
     assert data["involute_norm"] == data["norm"] == "1/12"
+
+
+# the time.time() budget of a refused query, from the call to the exit code
+REFUSAL_BUDGET_S = 1.0
+
+
+@pytest.mark.parametrize("command", ["norm", "involute"])
+def test_norm_work_cap_is_usage_error(capsys, command):
+    # 1..20000 has 2*10^8 pairs over an lcm of about 29 000 bits: refused
+    # before any pair term
+    start = time.time()
+    code = run([command, "--list=" + ",".join(map(str, range(1, 20001)))])
+    assert time.time() - start < REFUSAL_BUDGET_S
+    assert code == 2
+    assert "above the cap of 10^10" in capsys.readouterr().err
 
 
 def test_liouville(capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ratio_lab.lists as lists
 from ratio_lab.lists import (
     SignedList,
     classify_type,
@@ -63,6 +64,23 @@ def test_norm_reference_values():
         assert norm(make_list(raw)) == _norm_per_pair(raw) == expected
     for a in (1, 7, -13):
         assert norm(make_list([a])) == F(1, 12)
+
+
+def test_norm_work_cap(monkeypatch):
+    # the estimate is the pair count times the sum of the entries' bit lengths
+    a = make_list([1, -2, 3])  # 3 pairs, 1 + 2 + 2 bits
+    monkeypatch.setattr(lists, "NORM_WORK_CAP", 15)
+    assert norm(a) == _norm_per_pair([1, -2, 3])
+    monkeypatch.setattr(lists, "NORM_WORK_CAP", 14)
+    with pytest.raises(ValueError, match="norm work estimate 15 "):
+        norm(a)
+    # a known norm is returned before any estimate
+    assert norm(SignedList(a.elements, known_norm=F(1, 3))) == F(1, 3)
+    monkeypatch.undo()
+    # 1..1000 answers, 1..1300 does not
+    for n, under in ((1000, True), (1300, False)):
+        els = range(1, n + 1)
+        assert (n * (n - 1) // 2 * sum(v.bit_length() for v in els) <= lists.NORM_WORK_CAP) == under
 
 
 def test_norm_empty_list():

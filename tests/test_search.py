@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -8,14 +9,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import isqrt
+from math import comb, isqrt
 
 import numpy as np
 import pytest
 
 import ratio_lab.search as search
 from ratio_lab.integrality import family_membership
-from ratio_lab.lists import classify_type, involute, make_list, norm
+from ratio_lab.lists import SignedList, classify_type, involute, make_list, norm
 from ratio_lab.search import (
     GOLDEN_NAMES,
     Catalog,
@@ -233,6 +234,97 @@ def test_sum_zero_norms_int64_bound():
         assert below
         for a in below:
             assert a.known_norm is not None and a.known_norm == norm(make_list(a.elements)), a
+
+
+@pytest.fixture
+def gc_restored():
+    # whatever a test does to the collector, the next test finds it as it was
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("start", ["on", "off", "raises"])
+def test_sum_zero_lists_leave_the_collector_as_found(monkeypatch, gc_restored, start):
+    # the builds run with the collector paused, which comes back on only if
+    # it was on, also when a build raises
+    (gc.disable if start == "off" else gc.enable)()
+    seen = []
+
+    def build(*args):
+        seen.append(gc.isenabled())
+        if start == "raises":
+            raise RuntimeError("build failed")
+        return SignedList(*args)
+
+    monkeypatch.setattr(search, "SignedList", build)
+    if start == "raises":
+        with pytest.raises(RuntimeError, match="build failed"):
+            sum_zero_divisor_lists(432, 7)
+    else:
+        assert len(sum_zero_divisor_lists(432, 7)) == len(seen) > 0
+    assert seen and not any(seen)
+    assert gc.isenabled() == (start != "off")
+
+
+def test_combos_match_itertools():
+    # rows, order and dtype, for every n <= 40 and k <= 6 with at most 10^5 rows
+    for n, k in product(range(1, 41), range(1, 7)):
+        if comb(n + k - 1, k) <= 10**5:
+            rows = search._combos(n, k)
+            ref = np.array(list(combinations_with_replacement(range(n), k)), dtype=np.min_scalar_type(n))
+            assert rows.dtype == ref.dtype and rows.shape == ref.shape, (n, k)
+            assert (rows == ref).all(), (n, k)
+
+
+def _cross_reference(x, y):
+    """The cross-term table over the full grid, each entry by the per-entry
+    formula: the sum over the multiples m, mm of gcd(m x, mm y)^2 / (m x) / (mm y)."""
+    xv, yv = np.array(x.values)[:, None], np.array(y.values)[None, :]
+    out = np.zeros((len(x.values), len(y.values)))
+    for m, mm in product(x.mults, y.mults):
+        g = np.gcd(m * xv, mm * yv).astype(np.float64)
+        g *= g
+        g /= m * xv
+        g /= mm * yv
+        out += g
+    return out
+
+
+_CROSS_GROUPS = [
+    search._Group(search._signed_divisors(720), 1),
+    search._Group(search._signed_divisors(search.PAIRABLE_SUPPORT // 2), 1, (1, -2)),
+    search._Group(search._signed_divisors(1728), 1, (1, -3)),
+    search._Group(search._box(40), 1, (1, -2, -3, 6)),
+    search._Group(search._box(60), 1, (1, -2, 4)),
+    search._Group(tuple(range(1, 41)), 1, (1, -3)),
+]
+
+
+@pytest.mark.parametrize("x, y", list(product(_CROSS_GROUPS, repeat=2)))
+def test_cross_matches_full_grid(x, y):
+    # one sign of each +- pair takes gcds, and the table equals the full
+    # grid's, bit for bit (a 0 included)
+    table, ref = search._cross(x, y), _cross_reference(x, y)
+    assert np.array_equal(table, ref)
+    assert table.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("x", [g for g in _CROSS_GROUPS if search._paired(g.values)])
+def test_cross_negates_across_a_pair(x):
+    # on a paired axis, as rows or as columns, index i ^ 1 is the negation of index i
+    flip = np.arange(len(x.values)) ^ 1
+    for y in _CROSS_GROUPS:
+        rows, cols = search._cross(x, y), search._cross(y, x)
+        assert (rows[flip] == -rows).all()
+        assert (cols[:, flip] == -cols).all()
+
+
+def test_paired_layout():
+    assert search._paired(search._signed_divisors(12)) and search._paired(search._box(3))
+    assert search._paired(())
+    for values in (tuple(range(1, 41)), (-1, 1, -2), (1, -1), (-1, 1, -2, 3), (-1, 2)):
+        assert not search._paired(values)
 
 
 def test_canonical_pair_key_is_the_smaller_of_the_pair():

@@ -1,9 +1,9 @@
 """Time the sum-zero enumeration and its norms, the classification and
 small-norm sweeps, the lower-bound table, the separation queries, the
-Landau scan, the integration norm, the list shape rules (make_list,
-classify_type, family_membership), the in-process CLI on fixed inputs,
-and two fresh processes: perfbench's setup probe and one `norm` query
-through the CLI.
+Landau scan, the gcd norm on a long list and on huge entries, the
+integration norm, the list shape rules (make_list, classify_type,
+family_membership), the in-process CLI on fixed inputs, and two fresh
+processes: perfbench's setup probe and one `norm` query through the CLI.
 
     python3 bench/layers.py [--against DIR | --digest]
 
@@ -25,8 +25,9 @@ file are kept.
 With --digest it times nothing: it runs each call once in this
 interpreter, but for the two fresh-process ones, and prints
 "name: <first 10 hex digits of a sha1>", of the repr of the element
-tuples for a list of SignedList or a catalog, else of the repr of the
-result, so that two checkouts' outputs can be compared call by call.
+tuples for a list of SignedList or a catalog, of its terms in hex for a
+Fraction, else of the repr of the result, so that two checkouts' outputs
+can be compared call by call.
 """
 
 from __future__ import annotations
@@ -127,6 +128,16 @@ def _calls() -> tuple[dict, dict]:
         return raws, [a for a in closed if a.length % 2 and a.is_primitive()]
 
     @cache
+    def long_list():
+        return make_list(range(1, 1001))
+
+    @cache
+    def huge_list():
+        # 10 entries of 4300 digits (the most int() parses from a string) from random.Random(1)
+        rng = random.Random(1)
+        return make_list([rng.randrange(10**4299, 10**4300) for _ in range(10)])
+
+    @cache
     def golden_lists():
         return [e.list for name in GOLDEN_NAMES for e in load_golden(name).entries]
 
@@ -195,6 +206,8 @@ def _calls() -> tuple[dict, dict]:
         "separation_orders(criterion 8 random lists)": lambda: [separation_orders(a) for a in random_lists()],
         "landau_min_max(52 sporadic specs)": lambda: [landau_min_max(r) for r in sporadic_specs()],
         "landau_min_max(1000 x Chebyshev)": lambda: landau_min_max(chebyshev_1000),
+        "norm(1..1000)": lambda: norm(long_list()),
+        "norm(10 random 4300-digit entries)": lambda: norm(huge_list()),
         "norm_by_integration(75 golden entries)": lambda: [norm_by_integration(a) for a in golden_lists()],
         "norm_by_integration(200 seeded lists)": lambda: [norm_by_integration(a) for a in seeded_lists()],
         "shape rules": shape_rules,
@@ -207,6 +220,8 @@ def _calls() -> tuple[dict, dict]:
         "find_separations(criterion 8 random lists, k = 2..7)": random_lists,
         "separation_orders(criterion 8 random lists)": random_lists,
         "landau_min_max(52 sporadic specs)": sporadic_specs,
+        "norm(1..1000)": long_list,
+        "norm(10 random 4300-digit entries)": huge_list,
         "norm_by_integration(75 golden entries)": golden_lists,
         "norm_by_integration(200 seeded lists)": seeded_lists,
         "shape rules": shape_inputs,
@@ -230,7 +245,11 @@ def _child(src: str, name: str) -> None:
 
 def _digest(out) -> str:
     """The first 10 hex digits of the sha1 of a call's result: of the repr
-    of its element tuples for a list of SignedList or a catalog."""
+    of its element tuples for a list of SignedList or a catalog, and of
+    its terms in hex for a Fraction, whose decimal repr is capped at 4300
+    digits."""
+    if isinstance(out, Fraction):
+        out = (hex(out.numerator), hex(out.denominator))
     if hasattr(out, "lists"):  # a Catalog
         out = out.lists()
     if isinstance(out, list) and all(hasattr(a, "elements") for a in out):

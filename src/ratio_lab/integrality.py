@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from ratio_lab.arith import lazy_import, primes_upto
-from ratio_lab.lists import SignedList, make_list, norm
+from ratio_lab.lists import SignedList, canonical_pair_key, make_list, norm
 
 np = lazy_import("numpy")  # loaded by the first kernel call
 
@@ -187,17 +187,17 @@ def family_membership(a: SignedList) -> str:
     up to global sign) or 'sporadic'.  Every triple is [a+b, -a, -b] up
     to sign (one entry's sign is shared by no other), so 'family1'; a
     length-5 list is 'family2' or 'family3' when it matches [2a, 2b, -a,
-    -b, -(a+b)], a shape closed under negation, so whether a list matches
-    does not depend on its sign.  The first match, a and then b running
-    up the negated elements, decides the tag: 'family2' if a and b share
-    a sign, else 'family3'.  A list can match both ways: [-1, 2, -3, -4, 6]
-    matches (-2, 3) first and (1, 3), so it is 'family3' and its negation
-    'family2'; up to sign it is the only such list with |a|, |b| <= 40."""
+    -b, -(a+b)], a shape closed under negation.  It is matched on the
+    list's canonical_pair_key, so a list and its negation get one tag: the
+    first match, a and then b running up the key's negated elements, gives
+    'family2' if a and b share a sign, else 'family3'.  [-1, 2, -3, -4, 6]
+    matches (-2, 3) first and (1, 3), so it and its negation are 'family3';
+    up to sign it is the only list with |a|, |b| <= 40 matching both ways."""
     if a.length % 2 == 0 or a.total != 0 or not a.is_primitive():
         raise ValueError("need a primitive odd-length sum-zero list")
     if a.length == 3:
         return "family1"
-    match = _match_type_a_family(a.elements) if a.length == 5 else None
+    match = _match_type_a_family(canonical_pair_key(a)) if a.length == 5 else None
     if match is None:
         return "sporadic"
     return "family2" if match[0] * match[1] > 0 else "family3"

@@ -8,9 +8,9 @@ a(x) = sum_j psi(a_j x) with psi(t) = 1/2 - {t}, and the norm
 Lists are kept canonical (ascending |value|) and non-degenerate (no value
 appears together with its negative).  All arithmetic is exact, via
 fractions.Fraction.  A list may carry its exact norm, `known_norm`, which
-norm() returns as it is: search.sum_zero_divisor_lists sets it for the
-lists it enumerates, from one integer pass over all of them; make_list,
-and so every other list, leaves it None.
+norm() returns as it is: with_norms builds lists that carry it, from one
+integer pass over all of them; make_list, and so every other list, leaves
+it None.  canonical_pair_key names a list and its negation by one member.
 
 Reference norms: N([1,-2]) = 1/12, N([1,-2,4]) = 1/8, N([4,-6,9]) = 43/216,
 N([1,-2,-3,6]) = 1/9, N([1,-6,-10,-15,30]) = 1/4.
@@ -18,6 +18,7 @@ N([1,-2,-3,6]) = 1/9, N([1,-6,-10,-15,30]) = 1/4.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,7 +34,9 @@ np = lazy_import("numpy")  # loaded by the first kernel call
 __all__ = [
     "SignedList",
     "make_list",
+    "canonical_pair_key",
     "norm",
+    "with_norms",
     "norm_by_integration",
     "evaluate",
     "involute",
@@ -44,7 +47,7 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
-# norm's cap on the pair count times the sum of the entries' bit lengths
+# norm's cap on its work estimate (see norm)
 NORM_WORK_CAP = 10**10
 
 
@@ -52,9 +55,8 @@ NORM_WORK_CAP = 10**10
 class SignedList:
     """Immutable canonical non-degenerate list of nonzero integers; callers
     go through make_list, which cancels and sorts.  `known_norm` is N(a)
-    when its builder already has it exactly (only
-    search.sum_zero_divisor_lists sets it; make_list never does); it takes
-    no part in equality, hashing or repr."""
+    when its builder already has it exactly (only with_norms sets it;
+    make_list never does); it takes no part in equality, hashing or repr."""
 
     elements: tuple[int, ...]
     known_norm: Fraction | None = field(default=None, compare=False)
@@ -109,36 +111,86 @@ def make_list(raw: Iterable[int]) -> SignedList:
     return SignedList(tuple(v if c > 0 else -v for v, c in sorted(net.items()) for _ in range(abs(c))))
 
 
+def canonical_pair_key(a: SignedList) -> tuple[int, ...]:
+    """Key of a +- pair: the canonical element tuple of whichever of a and
+    its negation starts negative.  A non-degenerate list and its negation
+    first differ at position 0, so this is the smaller of the two."""
+    return a.elements if a.elements[:1] < (0,) else tuple(-v for v in a.elements)
+
+
 def norm(a: SignedList) -> Fraction:
     """N(a) via the exact gcd double sum, accumulated in integers.
 
-    Over L = lcm(|a_i|) each cross term gcd(a_i, a_j)^2 / (a_i a_j) is
-    gcd^2 * (L/a_i) * (L/a_j) / L^2, so
+    Over a common multiple M of the entries, with g = gcd(a_i, a_j), each
+    cross term g^2 / (a_i a_j) is g * (g (M/a_i) / a_j) / M, and g (M/a_i)
+    / a_j = +-M / lcm(a_i, a_j) is an integer, so with M = lcm(|a_i|)
 
-        N = (n L^2 + 2 sum_{i<j} gcd(a_i, a_j)^2 (L/a_i)(L/a_j)) / (12 L^2)
+        N = (n M + 2 sum_{i<j} g * (g * (M/a_i) // a_j)) / (12 M)
 
-    and only the final quotient is a Fraction; the empty list raises ValueError.
-    A list's known_norm, when its builder set one, is returned as it is.
+    and only the final quotient is a Fraction; with_norms sums the terms
+    times M, over M^2.  The empty list raises ValueError; a list's
+    known_norm, when its builder set one, is returned as it is.
 
-    Otherwise the work is bounded first.  Each of the n(n-1)/2 pair
-    terms is a product of numbers up to L, and L has at most B bits, B
-    the sum of the entries' bit lengths, so n(n-1)/2 * B estimates the
-    work without forming L (lcm(1..20000) alone takes 0.14 s).  An
-    estimate above NORM_WORK_CAP = 10^10 raises ValueError: 1..1000
-    (4.5*10^9, about 1.5 s on a 2-core machine) answers, 1..1300 does
-    not.
+    Otherwise the work is bounded first.  Each of the n(n-1)/2 pair terms
+    multiplies and divides a number of at most B bits (B, the sum of the
+    entries' bit lengths, bounds M's) by ones of at most w 64-bit words,
+    w the largest entry's (1 below 2^64).  So n(n-1)/2 * B * w estimates
+    the work without forming M (lcm(1..20000) takes 0.14 s).  Above
+    NORM_WORK_CAP = 10^10 it raises ValueError: 1..1000 (4.5*10^9)
+    answers, 1..1300 does not.
     """
     if a.known_norm is not None:
         return a.known_norm
     if a.length == 0:
         raise ValueError("norm of the empty list")
     els = a.elements
-    work = len(els) * (len(els) - 1) // 2 * sum(map(int.bit_length, els))
+    words = (max(map(abs, els)).bit_length() + 63) // 64
+    work = len(els) * (len(els) - 1) // 2 * sum(map(int.bit_length, els)) * words
     if work > NORM_WORK_CAP:
-        raise ValueError(f"norm work estimate {work} (pairs times the sum of the entries' bit lengths) is above the cap of 10^10")
+        raise ValueError(f"norm work estimate {work} (pairs times the sum of the entries' bit lengths times the largest entry's 64-bit words) is above the cap of 10^10")
     big = lcm(*els)
-    cross = sum(gcd(x, y) ** 2 * (big // x) * (big // y) for x, y in combinations(els, 2))
-    return Fraction(len(els) * big * big + 2 * cross, 12 * big * big)
+    cross = 0
+    for i, x in enumerate(els):
+        c = big // x
+        for y in els[i + 1 :]:
+            g = gcd(x, y)
+            cross += g * (g * c // y)
+    return Fraction(len(els) * big + 2 * cross, 12 * big)
+
+
+def with_norms(blocks: Iterable[np.ndarray], top: int) -> list[SignedList]:
+    """The rows of `blocks`, 2-D integer arrays of canonical non-degenerate
+    lists whose elements divide top > 0, as SignedLists with exact norms.
+
+    norm's terms over M = top, times M: N = (n top^2 + 2 sum_{i<j} g^2
+    (top/x_i)(top/x_j)) / (12 top^2), a column pair at a time, and one
+    Fraction per distinct numerator, shared by the whole call.  Each term
+    is at most top^2, as is each product on the way to it (g <= min(|x_i|,
+    |x_j|)), so every partial sum is at most (n top)^2: a block runs in
+    int64 while that is below 2^63, else over Python ints (dtype object).
+
+    The builds run with the cyclic collector paused (back on after only if
+    it was on): nothing they make refers back to what refers to it, so its
+    passes could free nothing, and reference counting frees it all."""
+    lists, shared = [], {}  # shared: numerator -> its Fraction
+    enabled = gc.isenabled()
+    gc.disable()  # the builds below make no cycle (see above)
+    try:
+        for r in blocks:
+            n = r.shape[1]
+            r = r.astype(np.int64 if (n * top) ** 2 < 2**63 else object, copy=False)
+            co = top // r
+            cross = np.zeros(len(r), dtype=r.dtype)
+            for i, j in combinations(range(n), 2):
+                g = np.gcd(r[:, i], r[:, j])
+                cross += g * g * co[:, i] * co[:, j]
+            num = (n * top * top + 2 * cross).tolist()
+            shared.update((v, Fraction(v, 12 * top * top)) for v in set(num).difference(shared))
+            lists += map(SignedList, map(tuple, r.tolist()), map(shared.__getitem__, num))
+        return lists
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def psi(x: Fraction) -> Fraction:

@@ -28,7 +28,7 @@ degenerate and non-primitive rows, `_confirm` decides the rest exactly,
 and a sweep returns one list per +- pair (`_dedup`, up to permutation
 and global sign flip).  One rule names a pair: of a list and its
 negation, the one whose canonical tuple starts negative
-(`canonical_pair_key`).  Where every support is laid out in (-d, d)
+(`lists.canonical_pair_key`).  Where every support is laid out in (-d, d)
 pairs, the negation of a row is a row too, and the engine visits only
 the member of each pair that starts negative, which halves the work and
 is the member `_dedup` keeps; so `sum_zero_divisor_lists` gets just that
@@ -38,7 +38,6 @@ that the error bound of `_prefilter_error` is below FLOAT_TOL.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 from collections import Counter
@@ -50,7 +49,7 @@ from math import comb, gcd, prod
 
 from ratio_lab.arith import divisors, lazy_import
 from ratio_lab.integrality import RatioSpec, family_membership, is_integral, norm_quarter_check
-from ratio_lab.lists import SignedList, classify_type, concat, make_list, norm, norm_by_integration, scale
+from ratio_lab.lists import SignedList, canonical_pair_key, classify_type, concat, make_list, norm, norm_by_integration, scale, with_norms
 from ratio_lab.separation import forced_coefficients
 
 np = lazy_import("numpy")  # loaded by the first sweep
@@ -97,13 +96,6 @@ def _signed_divisors(m: int) -> tuple[int, ...]:
 def _box(bound: int) -> tuple[int, ...]:
     """The nonzero integers in [-bound, bound], in the same order."""
     return tuple(v for d in range(1, bound + 1) for v in (-d, d))
-
-
-def canonical_pair_key(a: SignedList) -> tuple[int, ...]:
-    """Dedup key of a +- pair: the canonical element tuple of whichever of
-    a and its negation starts negative.  A non-degenerate list and its
-    negation first differ at position 0, so this is the smaller of the two."""
-    return a.elements if a.elements[:1] < (0,) else tuple(-v for v in a.elements)
 
 
 def _dedup(lists) -> list[SignedList]:
@@ -552,58 +544,14 @@ def divisor_sweep_5(modulus: int = 2**6 * 3**3 * 5**3, jobs: int = 1) -> list[Si
 
 def sum_zero_divisor_lists(modulus: int, length: int) -> list[SignedList]:
     """Every primitive non-degenerate sum-zero list of the given length
-    with all elements dividing the modulus, deduplicated up to
-    permutation and global sign flip, in canonical_pair_key order.  The
-    join gives each multiset once, in support order, which is canonical
-    order, and the support is +- paired, so it visits only the member of
-    each multiset and its negation that starts negative (_scan): its own
-    canonical_pair_key, which becomes a SignedList directly.
-
-    Each list carries its exact norm (SignedList.known_norm).  Every
-    element divides top = |modulus|, so norm's integer sum can be taken
-    over top in place of the lcm:
-
-        N = (n top^2 + 2 sum_{i<j} gcd(x_i, x_j)^2 (top/x_i)(top/x_j)) / (12 top^2),
-
-    one int64 pass, a CHUNK of rows and a column pair at a time, and one
-    Fraction per distinct numerator, shared by the whole call.  int64
-    holds it while (n top)^2 < 2^63: gcd(x_i, x_j) <= min(|x_i|, |x_j|),
-    so g^2 |top/x_i| |top/x_j| <= top^2, and so is each product on the
-    way to it; the cross sum of C(n, 2) such terms and the numerator
-    n top^2 + 2 cross are then at most n^2 top^2, as is every partial
-    sum.  Past that bound the lists carry no norm, and norm() computes it.
-
-    The list builds run with Python's cyclic garbage collector paused
-    (and turned back on after, if it was on).  What they make, each
-    SignedList and its tuple of ints, its Fraction of ints, and the list
-    and dict that gather them, refers to no object that refers back to
-    it, so none of it can be in a reference cycle; the collector's
-    passes, run every few hundred allocations over ever more objects,
-    could free nothing, and reference counting still frees it all."""
+    with all elements dividing the modulus, up to permutation and sign, in
+    canonical_pair_key order, each with its exact norm.  The +- paired
+    join visits each multiset once, in canonical order, and of each +- pair
+    only the member that starts negative (_scan), its own key."""
     if length < 2 or length > 7:
         raise ValueError("supported lengths: 2..7")
     rows = _rows(_Sweep((_Group(_signed_divisors(modulus), length),), None, JOIN))
-    top = abs(modulus)
-    enabled = gc.isenabled()
-    gc.disable()  # the builds below make no cycle (see above)
-    try:
-        if (length * top) ** 2 >= 2**63:
-            return [SignedList(tuple(t)) for c in range(0, len(rows), CHUNK) for t in rows[c : c + CHUNK].tolist()]
-        lists, shared = [], {}  # shared: numerator -> its Fraction
-        for c in range(0, len(rows), CHUNK):
-            r = rows[c : c + CHUNK]
-            co = top // r
-            cross = np.zeros(len(r), dtype=np.int64)
-            for i, j in combinations(range(length), 2):
-                g = np.gcd(r[:, i], r[:, j])
-                cross += g * g * co[:, i] * co[:, j]
-            num = (length * top * top + 2 * cross).tolist()
-            shared.update((v, Fraction(v, 12 * top * top)) for v in set(num).difference(shared))
-            lists += map(SignedList, map(tuple, r.tolist()), map(shared.__getitem__, num))
-        return lists
-    finally:
-        if enabled:
-            gc.enable()
+    return with_norms((rows[c : c + CHUNK] for c in range(0, len(rows), CHUNK)), abs(modulus))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import time
@@ -226,13 +227,18 @@ REFUSAL_BUDGET_S = 1.0
 
 @pytest.mark.parametrize("command", ["norm", "involute"])
 def test_norm_work_cap_is_usage_error(capsys, command):
-    # 1..20000 has 2*10^8 pairs over an lcm of about 29 000 bits: refused
-    # before any pair term
-    start = time.time()
-    code = run([command, "--list=" + ",".join(map(str, range(1, 20001)))])
-    assert time.time() - start < REFUSAL_BUDGET_S
-    assert code == 2
-    assert "above the cap of 10^10" in capsys.readouterr().err
+    # refused before any pair term: 1..20000, 2*10^8 pairs over an lcm of
+    # about 29 000 bits, and 20 random even entries of 4300 digits (the
+    # most int() parses from a string; even, so involute keeps them), 190
+    # pairs over 224-word entries
+    rng = random.Random(1)
+    huge = [rng.randrange(10**4299, 10**4300, 2) for _ in range(20)]
+    for entries in (range(1, 20001), huge):
+        start = time.time()
+        code = run([command, "--list=" + ",".join(map(str, entries))])
+        assert time.time() - start < REFUSAL_BUDGET_S
+        assert code == 2
+        assert "above the cap of 10^10" in capsys.readouterr().err
 
 
 def test_liouville(capsys):

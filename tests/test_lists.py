@@ -67,13 +67,20 @@ def test_norm_reference_values():
 
 
 def test_norm_work_cap(monkeypatch):
-    # the estimate is the pair count times the sum of the entries' bit lengths
-    a = make_list([1, -2, 3])  # 3 pairs, 1 + 2 + 2 bits
-    monkeypatch.setattr(lists, "NORM_WORK_CAP", 15)
-    assert norm(a) == _norm_per_pair([1, -2, 3])
-    monkeypatch.setattr(lists, "NORM_WORK_CAP", 14)
-    with pytest.raises(ValueError, match="norm work estimate 15 "):
-        norm(a)
+    # the estimate is the pair count times the sum of the entries' bit
+    # lengths times the largest entry's 64-bit words
+    for raw, work in (
+        ([1, -2, 3], 15),  # 3 pairs, 1 + 2 + 2 bits, 1 word
+        ([1, -(2**64 - 1)], 65),  # 1 pair, 1 + 64 bits, 1 word
+        ([1, -(2**64)], 132),  # 1 pair, 1 + 65 bits, 2 words
+        ([3, 2**128, -(2**64)], 3 * 196 * 3),  # 3 pairs, 2 + 129 + 65 bits, 3 words
+    ):
+        a = make_list(raw)
+        monkeypatch.setattr(lists, "NORM_WORK_CAP", work)
+        assert norm(a) == _norm_per_pair(raw)
+        monkeypatch.setattr(lists, "NORM_WORK_CAP", work - 1)
+        with pytest.raises(ValueError, match=f"norm work estimate {work} "):
+            norm(a)
     # a known norm is returned before any estimate
     assert norm(SignedList(a.elements, known_norm=F(1, 3))) == F(1, 3)
     monkeypatch.undo()
@@ -130,7 +137,8 @@ def test_norm_matches_integration(a):
     assert norm(a) == norm_by_integration(a)
 
 
-big_ints = st.integers(min_value=-(10**6), max_value=10**6).filter(lambda a: a != 0)
+# up to 10^40, so that the lcm spans several 64-bit words
+big_ints = st.integers(min_value=-(10**40), max_value=10**40).filter(lambda a: a != 0)
 
 
 @settings(max_examples=300, deadline=None)

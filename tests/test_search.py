@@ -220,10 +220,10 @@ def _largest_prime_below(n):
 
 
 def test_sum_zero_norms_int64_bound():
-    # past (length * top)^2 < 2^63 the lists carry no norm, and norm() computes it
+    # past (length * top)^2 < 2^63 the same pass runs over Python ints
     past = sum_zero_divisor_lists(6 * 1_000_000_007, 3)
     assert [a.elements for a in past] == [(-1, -2, 3), (-1, -1, 2)]
-    assert all(a.known_norm is None and norm(a) == F(1, 4) for a in past)
+    assert all(a.known_norm == F(1, 4) for a in past)
     # just below it, with (length * top)^2 above 2^62, the int64 pass is exact:
     # over 2p the one list [-1, -1, 2], over 6p length-6 lists that mix
     # p-sized elements with small ones
@@ -257,7 +257,7 @@ def test_sum_zero_lists_leave_the_collector_as_found(monkeypatch, gc_restored, s
             raise RuntimeError("build failed")
         return SignedList(*args)
 
-    monkeypatch.setattr(search, "SignedList", build)
+    monkeypatch.setattr("ratio_lab.lists.SignedList", build)
     if start == "raises":
         with pytest.raises(RuntimeError, match="build failed"):
             sum_zero_divisor_lists(432, 7)

@@ -1,5 +1,6 @@
 """Time the sum-zero enumeration and its norms, the classification and
-small-norm sweeps, the lower-bound table, the separation queries, the
+small-norm sweeps, the lower-bound table and the closed forms (G_1, the
+Liouville norm, the asymptotic probe), the separation queries, the
 Landau scan, the gcd norm on a long list and on huge entries, the
 integration norm, the list shape rules (make_list, classify_type,
 family_membership), the in-process CLI on fixed inputs, and two fresh
@@ -70,9 +71,10 @@ def _calls() -> tuple[dict, dict]:
     by name, and for some of them the inputs they read, built before the
     timed run so that only the calls that read them pay for them."""
     import ratio_lab
-    from ratio_lab.bounds import build_table
+    from ratio_lab.bounds import build_table, g1_closed_form
     from ratio_lab.cli import run
     from ratio_lab.integrality import RatioSpec, family_membership, landau_min_max
+    from ratio_lab.liouville import asymptotic_ratio_probe, liouville_norm_formula
     from ratio_lab.lists import classify_type, make_list, norm, norm_by_integration
     from ratio_lab.search import (
         GOLDEN_NAMES,
@@ -201,6 +203,9 @@ def _calls() -> tuple[dict, dict]:
         "small_norm_catalog(8, 8/45)": lambda: small_norm_catalog(8, Fraction(8, 45)),
         "build_table(128, 3)": lambda: build_table(128, 3),
         "build_table(256, 3)": lambda: build_table(256, 3),
+        "g1_closed_form(1..40)": lambda: [g1_closed_form(n) for n in range(1, 41)],
+        "liouville_norm_formula(10000..10199)": lambda: [liouville_norm_formula(N) for N in range(10000, 10200)],
+        "asymptotic_ratio_probe(256)": lambda: asymptotic_ratio_probe(256),
         "max_separation(criterion 8 triple box)": lambda: [max_separation(a) for a in triple_box()],
         "find_separations(criterion 8 random lists, k = 2..7)": lambda: [find_separations(a, k) for a in random_lists() for k in range(2, 8)],
         "separation_orders(criterion 8 random lists)": lambda: [separation_orders(a) for a in random_lists()],

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import lcm, prod
 
 from ratio_lab.arith import primes_upto
 
@@ -119,24 +119,21 @@ def build_table(n_max: int, r_max: int = 3) -> BoundTable:
 
 def g1_closed_form(n: int) -> Fraction:
     """Exact value of G_1(n), attained by the list [(-2)^j : 0 <= j < n]:
-    (1/12)(n/3 + (2/3)(1 - 1/2 + 1/4 - ... + (-1)^(n-1)/2^(n-1)))."""
+    (1/12)(n/3 + (2/3) sum_{j<n} (-1/2)^j), and the geometric sum is
+    (2/3)(1 - (-1/2)^n), so G_1(n) = (3n 2^n + 4(2^n - (-1)^n)) / (108 2^n)."""
     if n < 1:
         raise ValueError("n must be positive")
-    alt = sum(Fraction((-1) ** j, 2**j) for j in range(n))
-    return Fraction(1, 12) * (Fraction(n, 3) + Fraction(2, 3) * alt)
+    return Fraction(3 * n * 2**n + 4 * (2**n - (-1) ** n), 108 * 2**n)
 
 
 def mertens_product_bound(n: int) -> Fraction:
-    """G(n) >= (n/12) prod_{j<=m} (p_j - 1)/(p_j + 1) with 2^m <= n < 2^(m+1);
-    the large-n fallback once the recursion table stops."""
+    """G(n) >= (n/12) prod_{j<=m} (p_j - 1)/(p_j + 1), 2^m <= n < 2^(m+1), as
+    one quotient; the large-n fallback once the recursion table stops."""
     if n < 2:
         raise ValueError("n must be at least 2")
     m = n.bit_length() - 1
     primes = primes_upto(m * m + 1)[:m]
-    value = Fraction(n, 12)
-    for p in primes:
-        value *= Fraction(p - 1, p + 1)
-    return value
+    return Fraction(n * prod(p - 1 for p in primes), 12 * prod(p + 1 for p in primes))
 
 
 def g_nd_lower(table: BoundTable, n: int, d: int):

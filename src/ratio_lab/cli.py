@@ -302,11 +302,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # lift Python's 4300-digit cap on int-to-str conversion (3.10.7 on) while
+    # the answer is computed and printed; parsing, above, keeps it, and the
+    # work caps bound the answer's size
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         return args.fn(args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

@@ -5,6 +5,7 @@ with lambda(d) = (-1)^Omega(d).  Its norm has the closed multiplicative
 form  N(L(N)) = (d(N)/12) f(N)  with
 
     f(p^k) = 1 + 2 sum_{j=1..k} ((k+1-j)/(k+1)) (-1)^j / p^j,
+    (k+1) f(p^k) = (k+1) - 2 (k(p+1) + 1 - (-1/p)^k) / (p+1)^2  (summed),
 
 e.g. L(6) = [1, -2, -3, 6] with norm 1/9.  The lists L(N_k) for
 N_k = prod_{p<=k} p^r, with r the largest integer such that
@@ -62,19 +63,18 @@ def build_liouville(N: int) -> LiouvilleList:
 
 
 def liouville_norm_formula(N: int) -> Fraction:
-    """(d(N)/12) f(N) with f multiplicative as in the module docstring;
-    must equal the directly computed norm of build_liouville(N).list."""
+    """(d(N)/12) f(N), f as in the module docstring, which must equal the
+    norm of build_liouville(N).list.  With x = -1/p the series in f(p^k)
+    is sum_{m<=k} sum_{j<=m} x^j = (k x (1-x) - x^2 (1-x^k)) / (1-x)^2,
+    the summed form, and each p^k puts its numerator over (p+1)^2 p^k."""
     if N < 1:
         raise ValueError("N must be positive")
-    d = 1
-    f = Fraction(1)
+    num = den = 1
     for p, k in factorize(N):
-        d *= k + 1
-        f *= 1 + 2 * sum(
-            Fraction(k + 1 - j, k + 1) * Fraction((-1) ** j, p**j)
-            for j in range(1, k + 1)
-        )
-    return Fraction(d, 12) * f
+        q = (p + 1) ** 2 * p**k
+        num *= (k + 1) * q - 2 * ((k * (p + 1) + 1) * p**k - (-1) ** k)
+        den *= q
+    return Fraction(num, 12 * den)
 
 
 def n_sub_k(k: int) -> int:

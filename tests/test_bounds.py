@@ -51,6 +51,17 @@ def test_g1_closed_form_matches_row_and_list_norm():
     assert g1_closed_form(7) == F(89, 384)
 
 
+def _reference_g1(n):
+    # the alternating series of the docstring, one Fraction per term
+    alt = sum(Fraction((-1) ** j, 2**j) for j in range(n))
+    return Fraction(1, 12) * (Fraction(n, 3) + Fraction(2, 3) * alt)
+
+
+def test_g1_closed_form_matches_its_series():
+    for n in range(1, 501):
+        assert g1_closed_form(n) == _reference_g1(n), n
+
+
 def _reference_table(n_max, r_max):
     # the recursion of the module docstring as a direct O(n^3) Fraction scan
     # over every split i and every j in its window
@@ -134,6 +145,22 @@ def test_mertens_product_bound():
     assert mertens_product_bound(256) > 1
     # the dyadic envelope (evaluated at n = 2^m) first exceeds 1 at m = 8
     assert mertens_product_bound(128) <= 1
+
+
+def _reference_mertens(n):
+    # the product of the docstring, one Fraction per prime
+    m = n.bit_length() - 1
+    value = Fraction(n, 12)
+    for p in primes_upto(m * m + 1)[:m]:
+        value *= Fraction(p - 1, p + 1)
+    return value
+
+
+def test_mertens_product_bound_matches_its_product():
+    # both ends of each dyadic range 2^m <= n < 2^(m+1)
+    for m in range(1, 21):
+        for n in (2**m, 2 ** (m + 1) - 1):
+            assert mertens_product_bound(n) == _reference_mertens(n), n
 
 
 def test_entries_are_lower_bounds_on_random_norms():

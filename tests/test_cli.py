@@ -9,7 +9,7 @@ import time
 import pytest
 
 from ratio_lab.cli import _build_parser, run
-from ratio_lab.lists import make_list, norm
+from ratio_lab.lists import involute, make_list, norm
 
 
 def _src_env() -> dict:
@@ -239,6 +239,61 @@ def test_norm_work_cap_is_usage_error(capsys, command):
         assert time.time() - start < REFUSAL_BUDGET_S
         assert code == 2
         assert "above the cap of 10^10" in capsys.readouterr().err
+
+
+_RNG = random.Random(1)
+# answers past Python's 4300-digit cap on int-to-str conversion: the norm of
+# two random 2200-digit entries has terms of about 4400 digits, and involute
+# doubles the odd entry 5*10^4299 + 1 into one of 4301 digits
+LONG_ANSWERS = {
+    "norm": [_RNG.randrange(10**2199, 10**2200) for _ in range(2)],
+    "involute": [5 * 10**4299 + 1],
+}
+
+
+@pytest.fixture
+def set_digit_cap():
+    """Sets Python's int-to-str digit cap, where it has one, and restores
+    the old cap after the test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield lambda digits: None
+        return
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("command", sorted(LONG_ANSWERS))
+def test_answer_past_the_digit_cap(capsys, set_digit_cap, command):
+    entries = LONG_ANSWERS[command]
+    code, out = invoke(capsys, command, "--list=" + ",".join(map(str, entries)))
+    assert code == 0
+    set_digit_cap(0)  # for this test's own conversions
+    a = make_list(entries)
+    if command == "norm":
+        value = norm(a)
+        assert out == f"{value.numerator}/{value.denominator}\n"
+    else:
+        bar = involute(a)
+        assert len(str(bar.elements[0])) == 4301
+        value = norm(bar)
+        assert out == f"{list(bar.elements)}  norm {value.numerator}/{value.denominator}\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit cap")
+def test_run_restores_the_digit_cap(capsys, set_digit_cap):
+    set_digit_cap(5000)
+    for command, entries in LONG_ANSWERS.items():
+        assert run([command, "--list=" + ",".join(map(str, entries))]) == 0
+        assert sys.get_int_max_str_digits() == 5000
+    # after an error in the command (the work cap), and in parsing, which
+    # still refuses an entry past the cap
+    assert run(["norm", "--list=" + ",".join(map(str, range(1, 20001)))]) == 2
+    assert sys.get_int_max_str_digits() == 5000
+    with pytest.raises(SystemExit):
+        run(["norm", "--list=" + "1" * 5001])
+    assert sys.get_int_max_str_digits() == 5000
+    capsys.readouterr()
 
 
 def test_liouville(capsys):

@@ -1,4 +1,7 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import prod
 
 import pytest
 
@@ -38,6 +41,37 @@ def test_formula_examples():
 def test_formula_matches_direct_norm():
     for N in range(1, 600):
         assert liouville_norm_formula(N) == norm(build_liouville(N).list), N
+
+
+def _reference_norm_formula(N: int) -> Fraction:
+    # the series of the module docstring, one Fraction per term, over the
+    # factorization liouville_norm_formula reads
+    if N < 1:
+        raise ValueError("N must be positive")
+    d = 1
+    f = Fraction(1)
+    for p, k in liouville.factorize(N):
+        d *= k + 1
+        f *= 1 + 2 * sum(
+            Fraction(k + 1 - j, k + 1) * Fraction((-1) ** j, p**j)
+            for j in range(1, k + 1)
+        )
+    return Fraction(d, 12) * f
+
+
+def test_formula_matches_its_series(monkeypatch):
+    # N_k has lists too long for norm
+    for N in [*range(1, 3001), *map(n_sub_k, range(2, 41))]:
+        assert liouville_norm_formula(N) == _reference_norm_formula(N), N
+    # every p^k with k <= 20, so that (-1)^k takes both signs at each p, and
+    # the products of two such powers, factored here: trial division takes
+    # half a million steps to find 999983 in 999983^2
+    powers = [Counter({p: k}) for p in (2, 3, 5, 7, 10007, 999983) for k in range(1, 21)]
+    factors = powers + [a + b for a, b in combinations_with_replacement(powers, 2)]
+    known = {prod(p**k for p, k in c.items()): sorted(c.items()) for c in factors}
+    monkeypatch.setattr(liouville, "factorize", known.__getitem__)
+    for N in known:
+        assert liouville_norm_formula(N) == _reference_norm_formula(N), N
 
 
 def test_probe_reports_upper_above_lower():

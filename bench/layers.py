@@ -1,7 +1,8 @@
 """Time the sum-zero enumeration and its norms, the classification and
-small-norm sweeps, the lower-bound table and the closed forms (G_1, the
-Liouville norm, the asymptotic probe), the separation queries, the
-Landau scan, the gcd norm on a long list and on huge entries, the
+small-norm sweeps (the length-9 recombination among them), the
+lower-bound table and the closed forms (G_1, the Liouville norm, the
+asymptotic probe), the separation queries and the decomposition check,
+the Landau scan, the gcd norm on a long list and on huge entries, the
 integration norm, the list shape rules (make_list, classify_type,
 family_membership), the in-process CLI on fixed inputs, and two fresh
 processes: perfbench's setup probe and one `norm` query through the CLI.
@@ -78,6 +79,7 @@ def _calls() -> tuple[dict, dict]:
     from ratio_lab.lists import classify_type, make_list, norm, norm_by_integration
     from ratio_lab.search import (
         GOLDEN_NAMES,
+        _combine_sweep_9,
         _type_a3_sweep_7,
         _type_a_sweep_9,
         _type_b_sweep_7,
@@ -87,7 +89,7 @@ def _calls() -> tuple[dict, dict]:
         small_norm_catalog,
         sum_zero_divisor_lists,
     )
-    from ratio_lab.separation import find_separations, max_separation, separation_orders
+    from ratio_lab.separation import check_decomposition, find_separations, max_separation, separation_orders
 
     @cache
     def triple_box():
@@ -110,6 +112,11 @@ def _calls() -> tuple[dict, dict]:
         rng = random.Random(22)
         lists = [make_list([rng.choice((-1, 1)) * rng.randint(1, 20) for _ in range(rng.randint(2, 5))]) for _ in range(1000)]
         return [a for a in lists if a.length >= 2 and a.is_primitive()]
+
+    @cache
+    def random_witnesses():
+        # each random list with each of its k-separations, k = 2..7
+        return [(a, w) for a in random_lists() for k in range(2, 8) for w in find_separations(a, k)]
 
     @cache
     def sporadic_specs():
@@ -194,6 +201,7 @@ def _calls() -> tuple[dict, dict]:
         "_type_b_sweep_7()": lambda: _type_b_sweep_7(),
         "_type_a3_sweep_7()": lambda: _type_a3_sweep_7(),
         "_type_a_sweep_9()": lambda: _type_a_sweep_9(),
+        "_combine_sweep_9()": lambda: _combine_sweep_9(),
         "family_search_5()": lambda: family_search_5(),
         "small_norm_catalog(3, 1/7)": lambda: small_norm_catalog(3, Fraction(1, 7)),
         "small_norm_catalog(4, 11/60)": lambda: small_norm_catalog(4, Fraction(11, 60)),
@@ -209,6 +217,7 @@ def _calls() -> tuple[dict, dict]:
         "max_separation(criterion 8 triple box)": lambda: [max_separation(a) for a in triple_box()],
         "find_separations(criterion 8 random lists, k = 2..7)": lambda: [find_separations(a, k) for a in random_lists() for k in range(2, 8)],
         "separation_orders(criterion 8 random lists)": lambda: [separation_orders(a) for a in random_lists()],
+        "check_decomposition(criterion 8 random lists, k = 2..7)": lambda: [check_decomposition(a, w) for a, w in random_witnesses()],
         "landau_min_max(52 sporadic specs)": lambda: [landau_min_max(r) for r in sporadic_specs()],
         "landau_min_max(1000 x Chebyshev)": lambda: landau_min_max(chebyshev_1000),
         "norm(1..1000)": lambda: norm(long_list()),
@@ -224,6 +233,7 @@ def _calls() -> tuple[dict, dict]:
         "max_separation(criterion 8 triple box)": triple_box,
         "find_separations(criterion 8 random lists, k = 2..7)": random_lists,
         "separation_orders(criterion 8 random lists)": random_lists,
+        "check_decomposition(criterion 8 random lists, k = 2..7)": random_witnesses,
         "landau_min_max(52 sporadic specs)": sporadic_specs,
         "norm(1..1000)": long_list,
         "norm(10 random 4300-digit entries)": huge_list,

@@ -42,6 +42,7 @@ __all__ = [
     "build_table",
     "g1_closed_form",
     "mertens_product_bound",
+    "least_mertens_bound",
     "g_nd_lower",
     "g_tilde_lower",
     "max_length_for_D",
@@ -134,6 +135,14 @@ def mertens_product_bound(n: int) -> Fraction:
     m = n.bit_length() - 1
     primes = primes_upto(m * m + 1)[:m]
     return Fraction(n * prod(p - 1 for p in primes), 12 * prod(p + 1 for p in primes))
+
+
+def least_mertens_bound(n: int) -> Fraction:
+    """The least mertens_product_bound(n') over every n' >= n >= 2.  It
+    rises with n' on each block 2^m <= n' < 2^(m+1), and from m = 1 on its
+    least value per block, at 2^m, does not fall (it is multiplied by
+    2(p-1)/(p+1) >= 1, p = p_(m+1) >= 3): so it is least at n or 2^bitlen(n)."""
+    return min(mertens_product_bound(n), mertens_product_bound(1 << n.bit_length()))
 
 
 def g_nd_lower(table: BoundTable, n: int, d: int):

@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from ratio_lab.bounds import build_table, max_length_for_D
+from ratio_lab.bounds import build_table, least_mertens_bound, max_length_for_D
 from ratio_lab.integrality import (
     RatioSpec,
     family_membership,
@@ -149,8 +149,9 @@ def _cmd_bounds(args) -> int:
     g_row = {str(n): _frac(table.g[n]) for n in range(2, args.nmax + 1)}
     g1_row = {str(n): _frac(table.g1[n]) for n in range(2, args.nmax + 1)}
     payload = {"n_max": args.nmax, "G": g_row, "G1": g1_row}
-    with contextlib.suppress(ValueError):  # the D = 2 cutoffs, where the table witnesses both crossings
-        payload |= {"max_length_D2": max_length_for_D(table, 2), "max_length_D2_g1": max_length_for_D(table, 2, use_g1=True)}
+    if least_mertens_bound(args.nmax + 1) > 1:  # the D = 2 cutoffs, if no length past the table has G(n) <= 1
+        with contextlib.suppress(ValueError):  # and the table witnesses both crossings
+            payload |= {"max_length_D2": max_length_for_D(table, 2), "max_length_D2_g1": max_length_for_D(table, 2, use_g1=True)}
     lines = ["n    G(n)        G(n;1)"]
     for n in range(2, args.nmax + 1):
         lines.append(f"{n:<4} {g_row[str(n)]:<11} {g1_row[str(n)]}")

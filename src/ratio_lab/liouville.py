@@ -44,8 +44,8 @@ class LiouvilleList:
 
 def build_liouville(N: int) -> LiouvilleList:
     """The list {lambda(d) d : d | N}, canonical order.  Raises ValueError
-    when d(N) exceeds 4096, as the exact norm of the list takes
-    d(N)(d(N) - 1)/2 gcds, 8.4 million at the cap."""
+    when d(N) exceeds 4096; lists.norm's work cap refuses its exact norm far
+    earlier (d = 2048, the first 11 primes' product, estimates 8.3*10^10)."""
     if N < 1:
         raise ValueError("N must be positive")
     factors = factorize(N)
@@ -62,19 +62,34 @@ def build_liouville(N: int) -> LiouvilleList:
     return LiouvilleList(N=N, list=lst, d_of_N=len(elements))
 
 
-def liouville_norm_formula(N: int) -> Fraction:
-    """(d(N)/12) f(N), f as in the module docstring, which must equal the
-    norm of build_liouville(N).list.  With x = -1/p the series in f(p^k)
-    is sum_{m<=k} sum_{j<=m} x^j = (k x (1-x) - x^2 (1-x^k)) / (1-x)^2,
+def _norm_formula(factors) -> Fraction:
+    """(d(N)/12) f(N) from N's (p, k) pairs.  With x = -1/p the series in
+    f(p^k) is sum_{m<=k} sum_{j<=m} x^j = (k x (1-x) - x^2 (1-x^k)) / (1-x)^2,
     the summed form, and each p^k puts its numerator over (p+1)^2 p^k."""
-    if N < 1:
-        raise ValueError("N must be positive")
     num = den = 1
-    for p, k in factorize(N):
+    for p, k in factors:
         q = (p + 1) ** 2 * p**k
         num *= (k + 1) * q - 2 * ((k * (p + 1) + 1) * p**k - (-1) ** k)
         den *= q
     return Fraction(num, 12 * den)
+
+
+def liouville_norm_formula(N: int) -> Fraction:
+    """(d(N)/12) f(N), which must equal the norm of build_liouville(N).list."""
+    if N < 1:
+        raise ValueError("N must be positive")
+    return _norm_formula(factorize(N))
+
+
+def _n_sub_k_factors(k: int) -> list[tuple[int, int]]:
+    """N_k's (p, r) pairs, ascending: see n_sub_k."""
+    if not 2 <= k <= 256:
+        raise ValueError(f"k must be between 2 and 256, got {k}")
+    primes = primes_upto(k)
+    r = 1
+    while (r + 1) ** len(primes) <= 2**k:
+        r += 1
+    return [(p, r) for p in primes]
 
 
 def n_sub_k(k: int) -> int:
@@ -83,16 +98,7 @@ def n_sub_k(k: int) -> int:
     Hence d(N_k) = (r+1)^pi(k), and r^pi(k) <= 2^k < d(N_k).  k runs from
     2 to 256 (N_256 has 2621 digits); other values raise ValueError.
     """
-    if not 2 <= k <= 256:
-        raise ValueError(f"k must be between 2 and 256, got {k}")
-    primes = primes_upto(k)
-    r = 1
-    while (r + 1) ** len(primes) <= 2**k:
-        r += 1
-    out = 1
-    for p in primes:
-        out *= p**r
-    return out
+    return prod(p**r for p, r in _n_sub_k_factors(k))
 
 
 def asymptotic_ratio_probe(k: int) -> tuple[Fraction, Fraction]:
@@ -102,7 +108,7 @@ def asymptotic_ratio_probe(k: int) -> tuple[Fraction, Fraction]:
     lower is the Mertens-style product bound at the same length.  Their
     ratio closes in on 1 only at (log log)^2 speed, so callers report the
     trace rather than asserting closeness.  k is limited as in n_sub_k.
+    Both come from N_k's (p, r) pairs, so nothing is factorized.
     """
-    N = n_sub_k(k)
-    d = prod(e + 1 for _, e in factorize(N))
-    return liouville_norm_formula(N), mertens_product_bound(d)
+    factors = _n_sub_k_factors(k)
+    return _norm_formula(factors), mertens_product_bound(prod(r + 1 for _, r in factors))

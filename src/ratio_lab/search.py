@@ -49,7 +49,7 @@ from math import comb, gcd, prod
 
 from ratio_lab.arith import divisors, lazy_import
 from ratio_lab.integrality import RatioSpec, family_membership, is_integral, norm_quarter_check
-from ratio_lab.lists import SignedList, canonical_pair_key, classify_type, concat, make_list, norm, norm_by_integration, scale, with_norms
+from ratio_lab.lists import SignedList, canonical_pair_key, classify_type, make_list, norm, norm_by_integration, with_norms
 from ratio_lab.separation import forced_coefficients
 
 np = lazy_import("numpy")  # loaded by the first sweep
@@ -594,15 +594,16 @@ def _combine_sweep_9() -> list[SignedList]:
 
     For a sum-zero odd-length product the coefficients are forced (up to
     a global sign) by B*s(b) + C*s(c) = 0, so each candidate pair yields
-    at most one list to test.
+    at most one list to test.  -c would force (-B, C) and so the negated
+    list, which _dedup drops as the other member of its +- pair.
     """
     b = make_list([1, -2, -3, 6])
     cands = []
     for c in small_norm_catalog(5, Fraction(13, 72)).lists():
-        for cc in (c, c.negate()):
-            coefficients = forced_coefficients(b, cc)
-            if coefficients is not None:
-                cands.append(concat(scale(b, coefficients[0]), scale(cc, coefficients[1])))
+        coefficients = forced_coefficients(b, c)
+        if coefficients is not None:
+            B, C = coefficients
+            cands.append(make_list([B * e for e in b] + [C * e for e in c]))
     return _dedup(a for a in cands if a.length == 9 and a.total == 0 and a.is_primitive() and norm(a) == QUARTER)
 
 

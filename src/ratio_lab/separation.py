@@ -12,9 +12,10 @@ When it holds, the norm decomposes as
 
     N(a) = (1 - 1/k) (N(b) + N(c)) + (1/k) N(b~ + c~)
 
-with b~ = (B/k) b and c~ = C c (symmetrically when k | C).  Lists that are
-at most k-separated have all elements dividing an explicit modulus, which
-is what makes the exhaustive classification searches finite.
+with b~ = (B/k) b and c~ = C c (symmetrically when k | C).  The elements
+of an at most k-separated list divide prod_{p<=k} p^(r(n-1)), p^r the
+largest power of p at most k, that is lcm(1, ..., k)^(n-1) (support_bound),
+which makes the exhaustive classification searches finite.
 
 Every query walks the splits one way, with B and C the signed contents
 of the two sides, and make_list builds parts only for the witnesses
@@ -38,8 +39,8 @@ from functools import cache
 from itertools import combinations
 from math import gcd, lcm
 
-from ratio_lab.arith import divisors, factorize, primes_upto
-from ratio_lab.lists import SignedList, concat, make_list, norm, scale
+from ratio_lab.arith import divisors, factorize
+from ratio_lab.lists import SignedList, make_list, norm
 
 __all__ = [
     "SeparationWitness",
@@ -63,18 +64,6 @@ class SeparationWitness:
     B: int
     C: int
     b_indices: frozenset[int]  # positions in the parent's canonical order
-
-    @property
-    def reduced_b(self) -> SignedList:
-        """b~ = (B/k) b when k | B, else B b."""
-        coeff = self.B // self.k if self.B % self.k == 0 else self.B
-        return scale(self.b_part, coeff)
-
-    @property
-    def reduced_c(self) -> SignedList:
-        """c~ = (C/k) c when k | C, else C c."""
-        coeff = self.C // self.k if self.C % self.k == 0 else self.C
-        return scale(self.c_part, coeff)
 
     def to_json(self) -> dict:
         return {
@@ -168,15 +157,15 @@ def check_decomposition(
     Returns (N(b), N(c), N(b~ + c~)); raises if the witness does not
     reconstruct a or if the identity fails.
     """
-    rebuilt = concat(scale(w.b_part, w.B), scale(w.c_part, w.C))
-    if rebuilt != a or rebuilt.length != w.b_part.length + w.c_part.length:
+    b, c = w.b_part.elements, w.c_part.elements
+    rebuilt = make_list([w.B * e for e in b] + [w.C * e for e in c])
+    if rebuilt != a or rebuilt.length != len(b) + len(c):
         raise ValueError("witness does not reconstruct the parent list")
-    nb = norm(w.b_part)
-    nc = norm(w.c_part)
-    merged = concat(w.reduced_b, w.reduced_c)
+    nb, nc = norm(w.b_part), norm(w.c_part)
+    B, C = (x // w.k if x % w.k == 0 else x for x in (w.B, w.C))
+    merged = make_list([B * e for e in b] + [C * e for e in c])
     n_merged = norm(merged) if merged.length else Fraction(0)
-    k = Fraction(w.k)
-    if norm(a) != (1 - 1 / k) * (nb + nc) + n_merged / k:
+    if norm(a) != (1 - Fraction(1, w.k)) * (nb + nc) + n_merged / w.k:
         raise ValueError("norm decomposition identity failed")
     if merged.length < abs(w.b_part.length - w.c_part.length):
         raise ValueError("merged length below |len(b) - len(c)|")
@@ -193,20 +182,12 @@ class SupportBound:
 
 
 def support_bound(n: int, k: int) -> SupportBound:
-    """Elements of a primitive length-n list that is at most k-separated
-    divide prod over primes p <= k of p^(r(n-1)), p^r the largest power
-    of p at most k."""
+    """The modulus of the module docstring: p^r, the largest power of p at
+    most k, is the power of p in lcm(1, ..., k), so the product of the
+    p^(r(n-1)) over primes p <= k is lcm(1, ..., k)^(n-1)."""
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
-    modulus = 1
-    for p in primes_upto(k):
-        r = 0
-        q = 1
-        while q * p <= k:
-            q *= p
-            r += 1
-        modulus *= p ** (r * (n - 1))
-    return SupportBound(n=n, k=k, modulus=modulus)
+    return SupportBound(n, k, lcm(*range(1, k + 1)) ** (n - 1))
 
 
 def forced_coefficients(b: SignedList, c: SignedList) -> tuple[int, int] | None:

@@ -10,6 +10,7 @@ from ratio_lab.bounds import (
     g1_closed_form,
     g_nd_lower,
     g_tilde_lower,
+    least_mertens_bound,
     max_length_for_D,
     mertens_product_bound,
 )
@@ -161,6 +162,24 @@ def test_mertens_product_bound_matches_its_product():
     for m in range(1, 21):
         for n in (2**m, 2 ** (m + 1) - 1):
             assert mertens_product_bound(n) == _reference_mertens(n), n
+
+
+def test_mertens_block_minima_do_not_fall():
+    for m in range(1, 21):
+        assert mertens_product_bound(2 ** (m + 1)) >= mertens_product_bound(2**m), m
+
+
+def test_least_mertens_bound_matches_a_direct_scan():
+    # the least bound over n..8192 covers the block of n and the next one
+    # whole for n < 4096, where the two-point minimum must equal it
+    suffix_min = {8192: mertens_product_bound(8192)}
+    for n in range(8191, 1, -1):
+        suffix_min[n] = min(mertens_product_bound(n), suffix_min[n + 1])
+    for n in range(2, 4096):
+        assert least_mertens_bound(n) == suffix_min[n], n
+    # so G(n) <= 1 is ruled out past 226, not from 226 on
+    assert mertens_product_bound(226) == F(565, 567)
+    assert least_mertens_bound(227) > 1 >= least_mertens_bound(226)
 
 
 def test_entries_are_lower_bounds_on_random_norms():

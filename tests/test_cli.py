@@ -171,6 +171,21 @@ def test_bounds_table_without_the_crossing(capsys, fmt, nmax, rmax):
 
 
 @pytest.mark.parametrize(
+    "nmax, rmax, cutoffs",
+    [(226, 3, (81, 75)), (226, 2, (97, 83)), (90, 2, None), (225, 3, None)],
+)
+def test_bounds_cutoffs_hold_past_the_table(capsys, nmax, rmax, cutoffs):
+    # the Mertens bound is above 1 at every length from 227 on and not at
+    # 226, so only tables to 226 or further prove a D = 2 cutoff; at
+    # --nmax 90 --rmax 2 the table alone would read 89, yet G(96) <= 1
+    code, out = invoke(capsys, "--format", "json", "bounds", "--nmax", str(nmax), "--rmax", str(rmax))
+    assert code == 0
+    data = json.loads(out)
+    got = (data["max_length_D2"], data["max_length_D2_g1"]) if "max_length_D2" in data else None
+    assert got == cutoffs and ("max_length_D2_g1" in data) == (cutoffs is not None)
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["--nmax", "1000000"], "--nmax must be between 2 and 1024, got 1000000"),
@@ -323,6 +338,16 @@ def test_liouville_divisor_cap_is_usage_error(capsys):
     code = run(["liouville", "--N", "304250263527210"])
     assert code == 2
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_liouville_norm_work_cap_is_usage_error(capsys):
+    # the first 11 primes' product has 2048 divisors, under build_liouville's
+    # cap of 4096, but its direct norm is over lists.norm's work cap
+    start = time.time()
+    code = run(["liouville", "--N", "200560490130"])
+    assert time.time() - start < REFUSAL_BUDGET_S
+    assert code == 2
+    assert "error: norm work estimate 82729979904 " in capsys.readouterr().err
 
 
 def test_liouville_needs_exactly_one_mode():

@@ -98,6 +98,19 @@ def test_probe_k_cap(monkeypatch):
             asymptotic_ratio_probe(k)
 
 
+def test_probe_factorizes_nothing(monkeypatch):
+    # N_k's primes and exponent give both the formula and d(N_k)
+    expected = asymptotic_ratio_probe(64)
+
+    def refused(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(liouville, "factorize", refused)
+    assert asymptotic_ratio_probe(64) == expected
+    upper, lower = asymptotic_ratio_probe(256)
+    assert upper >= lower > 0
+
+
 def test_probe_k2_shape():
     # k=2: single prime 2, r = 4, N = 16, n = d(N) = 5
     assert n_sub_k(2) == 16

@@ -719,6 +719,12 @@ def test_golden_sporadics_are_sporadic():
             assert family_membership(e.list) == "sporadic"
 
 
+def test_recombination_finds_the_length_9_sporadics():
+    # B*[1, -2, -3, 6] + C*c over the small-norm length-5 lists c, one list
+    # per c: -c gives the negated list, the other member of its +- pair
+    assert search._combine_sweep_9() == load_golden("sporadic_length9").lists()
+
+
 def test_catalog_env_override(tmp_path, monkeypatch):
     cat = load_golden("sporadic_length9")
     (tmp_path / "sporadic_length9.json").write_text(json.dumps(cat.to_json()))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from functools import reduce
@@ -8,7 +9,7 @@ import pytest
 
 import ratio_lab.arith
 import ratio_lab.separation as separation
-from ratio_lab.arith import divisors, factorize
+from ratio_lab.arith import divisors, factorize, primes_upto
 from ratio_lab.lists import SignedList, make_list, norm
 from ratio_lab.search import PAIRABLE_SUPPORT
 from ratio_lab.separation import (
@@ -58,6 +59,16 @@ def test_check_decomposition_on_worked_example():
     for w in find_separations(CHEB, 5):
         check_decomposition(CHEB, w)
     assert norm(CHEB) == F(1, 4)
+
+
+def test_check_decomposition_refuses_a_corrupted_witness():
+    # CHEB = 1*[1, -6] + (-5)*[2, 3, -6], a 5-separation
+    w = find_separations(CHEB, 5)[0]
+    assert (w.B, w.C, w.b_part, w.c_part) == (1, -5, make_list([1, -6]), make_list([2, 3, -6]))
+    with pytest.raises(ValueError, match="witness does not reconstruct the parent list"):
+        check_decomposition(CHEB, dataclasses.replace(w, B=-w.B))
+    with pytest.raises(ValueError, match="norm decomposition identity failed"):
+        check_decomposition(CHEB, dataclasses.replace(w, k=w.k + 1))
 
 
 def test_find_separations_requires_primitive():
@@ -115,6 +126,25 @@ def test_support_bound_values():
     assert support_bound(4, 4).modulus == 4**3 * 3**3
     assert support_bound(7, 7).modulus == 2**12 * 3**6 * 5**6 * 7**6
     assert support_bound(2, 2).modulus == 2
+
+
+def _reference_support_modulus(n, k):
+    # the prime loop support_bound ran before it became lcm(1..k)^(n-1), kept verbatim
+    modulus = 1
+    for p in primes_upto(k):
+        r = 0
+        q = 1
+        while q * p <= k:
+            q *= p
+            r += 1
+        modulus *= p ** (r * (n - 1))
+    return modulus
+
+
+def test_support_bound_matches_the_prime_loop():
+    for n in range(1, 12):
+        for k in range(2, 60):
+            assert support_bound(n, k).modulus == _reference_support_modulus(n, k), (n, k)
 
 
 def test_preset_moduli_are_divisor_closed_under_general_bound():
